@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks of the compilation substrate: pass
 // throughput, routing, feature extraction, the reward functions and PPO
-// machinery. These quantify the per-step cost of the RL environment.
+// machinery. These quantify the per-step cost of the RL environment, plus
+// the encoding of a served result.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "baselines/baselines.hpp"
 #include "bench_suite/benchmarks.hpp"
 #include "device/library.hpp"
 #include "features/features.hpp"
@@ -19,6 +21,8 @@
 #include "reward/reward.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
+#include "service/compile_service.hpp"
+#include "service/jsonl.hpp"
 
 namespace {
 
@@ -60,6 +64,28 @@ void BM_SabreLayoutAndRouting(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SabreLayoutAndRouting)->Arg(5)->Arg(10)->Arg(20);
+
+/// Layout alone, on the device's native gates. On the all-to-all
+/// ionq_harmony every start placement is already swap-free.
+void BM_SabreLayout(benchmark::State& state, qrc::device::DeviceId id) {
+  const auto& device = qrc::device::get_device(id);
+  auto circuit = test_circuit(static_cast<int>(state.range(0)));
+  qrc::passes::PassContext ctx;
+  ctx.device = &device;
+  (void)qrc::passes::BasisTranslator().run(circuit, ctx);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qrc::passes::compute_layout(
+        qrc::passes::LayoutKind::kSabre, circuit, device, 1));
+  }
+}
+BENCHMARK_CAPTURE(BM_SabreLayout, ionq_harmony,
+                  qrc::device::DeviceId::kIonqHarmony)
+    ->Arg(5)
+    ->Arg(10);
+BENCHMARK_CAPTURE(BM_SabreLayout, ibmq_washington,
+                  qrc::device::DeviceId::kIbmqWashington)
+    ->Arg(5)
+    ->Arg(10);
 
 void BM_Optimize1q(benchmark::State& state) {
   const auto circuit = test_circuit(static_cast<int>(state.range(0)));
@@ -144,6 +170,26 @@ void BM_MlpForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpForwardBackward);
+
+/// The JSONL result line of one served 10-qubit compilation (QASM text,
+/// JSON quoting and the envelope).
+void BM_ServeResponseLine(benchmark::State& state) {
+  const auto& harmony =
+      qrc::device::get_device(qrc::device::DeviceId::kIonqHarmony);
+  qrc::service::ServiceResponse response;
+  response.id = "bench-10";
+  response.model = "default";
+  response.result.circuit =
+      qrc::baselines::compile_qiskit_o3_like(test_circuit(10), harmony)
+          .circuit;
+  response.result.device = &harmony;
+  response.result.reward = 0.8125;
+  response.latency_us = 1234;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qrc::service::serve_response_line(response, 1));
+  }
+}
+BENCHMARK(BM_ServeResponseLine);
 
 }  // namespace
 

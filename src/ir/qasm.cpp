@@ -1,6 +1,7 @@
 #include "ir/qasm.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -10,47 +11,78 @@
 
 namespace qrc::ir {
 
+namespace {
+
+void append_int(std::string& out, int v) {
+  char buffer[16];
+  const auto res = std::to_chars(buffer, buffer + sizeof(buffer), v);
+  out.append(buffer, res.ptr);
+}
+
+/// `%.15g`, the text an ostream prints at precision(15).
+void append_param(std::string& out, double v) {
+  char buffer[32];
+  const auto res = std::to_chars(buffer, buffer + sizeof(buffer), v,
+                                 std::chars_format::general, 15);
+  out.append(buffer, res.ptr);
+}
+
+void append_qubit(std::string& out, int q) {
+  out += "q[";
+  append_int(out, q);
+  out += ']';
+}
+
+}  // namespace
+
 std::string to_qasm(const Circuit& circuit) {
-  std::ostringstream os;
-  os.precision(15);
-  os << "OPENQASM 2.0;\n";
-  os << "include \"qelib1.inc\";\n";
-  os << "qreg q[" << circuit.num_qubits() << "];\n";
-  os << "creg c[" << circuit.num_qubits() << "];\n";
+  std::string out;
+  out.reserve(64 + 32 * circuit.ops().size());
+  out += "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[";
+  append_int(out, circuit.num_qubits());
+  out += "];\ncreg c[";
+  append_int(out, circuit.num_qubits());
+  out += "];\n";
   for (const Operation& op : circuit.ops()) {
     if (op.kind() == GateKind::kBarrier) {
-      os << "barrier q;\n";
+      out += "barrier q;\n";
       continue;
     }
     if (op.kind() == GateKind::kMeasure) {
-      os << "measure q[" << op.qubit(0) << "] -> c[" << op.qubit(0) << "];\n";
+      out += "measure ";
+      append_qubit(out, op.qubit(0));
+      out += " -> c[";
+      append_int(out, op.qubit(0));
+      out += "];\n";
       continue;
     }
     if (op.kind() == GateKind::kReset) {
-      os << "reset q[" << op.qubit(0) << "];\n";
+      out += "reset ";
+      append_qubit(out, op.qubit(0));
+      out += ";\n";
       continue;
     }
-    os << gate_name(op.kind());
+    out += gate_name(op.kind());
     if (op.num_params() > 0) {
-      os << "(";
+      out += '(';
       for (int i = 0; i < op.num_params(); ++i) {
         if (i > 0) {
-          os << ",";
+          out += ',';
         }
-        os << op.param(i);
+        append_param(out, op.param(i));
       }
-      os << ")";
+      out += ')';
     }
-    os << " ";
+    out += ' ';
     for (int i = 0; i < op.num_qubits(); ++i) {
       if (i > 0) {
-        os << ",";
+        out += ',';
       }
-      os << "q[" << op.qubit(i) << "]";
+      append_qubit(out, op.qubit(i));
     }
-    os << ";\n";
+    out += ";\n";
   }
-  return os.str();
+  return out;
 }
 
 std::string canonical_key(const Circuit& circuit) {

@@ -128,15 +128,52 @@ std::vector<int> dense_layout(const Circuit& circuit,
   return layout;
 }
 
+/// True if every pair of qubits that a unitary gate acts on (a 3+ qubit
+/// gate counts as all its pairs) sits on coupled physical qubits.
+bool interactions_coupled(const Circuit& circuit,
+                          const std::vector<int>& layout,
+                          const CouplingMap& cm) {
+  for (const ir::Operation& op : circuit.ops()) {
+    if (!op.is_unitary()) {
+      continue;
+    }
+    for (int i = 0; i < op.num_qubits(); ++i) {
+      for (int j = i + 1; j < op.num_qubits(); ++j) {
+        if (!cm.are_coupled(layout[static_cast<std::size_t>(op.qubit(i))],
+                            layout[static_cast<std::size_t>(op.qubit(j))])) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 /// SABRE layout: start from a seeded random placement, refine by routing
 /// forward and backward; the placement surviving the iterations becomes
 /// the initial layout.
 std::vector<int> sabre_layout(const Circuit& original,
                               const device::Device& device,
                               std::uint64_t seed) {
+  const int n = original.num_qubits();
+  const int m = device.num_qubits();
+  std::mt19937_64 rng(seed * 31337 + 5);
+  std::vector<int> phys(static_cast<std::size_t>(m));
+  std::iota(phys.begin(), phys.end(), 0);
+  std::shuffle(phys.begin(), phys.end(), rng);
+  std::vector<int> layout(phys.begin(),
+                          phys.begin() + static_cast<std::ptrdiff_t>(n));
+
+  // SabreSwap inserts a swap only for a blocked interaction. When the start
+  // placement couples every one, each refinement pass emits no swap and
+  // returns the identity permutation, so the placement is already final.
+  if (interactions_coupled(original, layout, device.coupling())) {
+    return layout;
+  }
+
   // Routing requires arity <= 2; for layout purposes a 3+ qubit gate is a
   // clique of pairwise interactions, so build a 2q proxy circuit.
-  Circuit circuit(original.num_qubits(), original.name());
+  Circuit circuit(n, original.name());
   for (const ir::Operation& op : original.ops()) {
     if (op.is_unitary() && op.num_qubits() > 2) {
       for (int i = 0; i < op.num_qubits(); ++i) {
@@ -148,15 +185,6 @@ std::vector<int> sabre_layout(const Circuit& original,
       circuit.append(op);
     }
   }
-
-  const int n = circuit.num_qubits();
-  const int m = device.num_qubits();
-  std::mt19937_64 rng(seed * 31337 + 5);
-  std::vector<int> phys(static_cast<std::size_t>(m));
-  std::iota(phys.begin(), phys.end(), 0);
-  std::shuffle(phys.begin(), phys.end(), rng);
-  std::vector<int> layout(phys.begin(),
-                          phys.begin() + static_cast<std::ptrdiff_t>(n));
 
   const Circuit& forward = circuit;
   const Circuit reversed = circuit.inverse();

@@ -358,8 +358,18 @@ std::string JsonValue::dump() const {
 }
 
 std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  std::size_t run = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -369,17 +379,14 @@ std::string json_quote(std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
-  return out + "\"";
+  out.append(s, run);
+  out += '"';
+  return out;
 }
 
 std::string_view serve_op_name(ServeOp op) {

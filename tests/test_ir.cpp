@@ -606,6 +606,35 @@ rx(1.5e2/3) q[0];
   EXPECT_NEAR(c.ops()[3].param(0), 50.0, 1e-12);
 }
 
+TEST(QasmTest, EmitsTheWireTextExactly) {
+  // Parameters print as printf's %.15g; served results carry this text, so
+  // every byte is pinned.
+  Circuit c(2, "pinned");
+  c.rz(-0.0, 0);
+  c.rz(1e-300, 1);
+  c.p(5e-324, 0);
+  c.u3(1e18, 0.1 + 0.2, 1.0 / 3, 1);
+  c.rzz(2.0 * kPi, 0, 1);
+  c.cx(0, 1);
+  c.barrier();
+  c.measure(0);
+  c.reset(1);
+  EXPECT_EQ(qrc::ir::to_qasm(c),
+            "OPENQASM 2.0;\n"
+            "include \"qelib1.inc\";\n"
+            "qreg q[2];\n"
+            "creg c[2];\n"
+            "rz(-0) q[0];\n"
+            "rz(1e-300) q[1];\n"
+            "p(4.94065645841247e-324) q[0];\n"
+            "u3(1e+18,0.3,0.333333333333333) q[1];\n"
+            "rzz(6.28318530717959) q[0],q[1];\n"
+            "cx q[0],q[1];\n"
+            "barrier q;\n"
+            "measure q[0] -> c[0];\n"
+            "reset q[1];\n");
+}
+
 TEST(QasmTest, MalformedIndexReportsLineContext) {
   const std::string text =
       "OPENQASM 2.0;\n"

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 
+#include "bench_suite/benchmarks.hpp"
 #include "device/library.hpp"
 #include "ir/sim.hpp"
 #include "passes/blocks.hpp"
@@ -424,6 +426,123 @@ TEST(LayoutTest, SabreLayoutValidAndDeterministic) {
   EXPECT_EQ(a, b);
   std::set<int> used(a.begin(), a.end());
   EXPECT_EQ(used.size(), a.size());
+}
+
+/// SABRE refinement replayed through the public API: a seeded shuffle of
+/// the physical qubits, then three rounds of SabreSwap over the 2q proxy
+/// circuit (3+ qubit gates as pairwise CX, barriers dropped) and its
+/// inverse, composing each routing's permutation into the placement.
+/// `swaps` accumulates the swaps the rounds inserted.
+std::vector<int> reference_sabre_layout(const Circuit& circuit,
+                                        const Device& dev,
+                                        std::uint64_t seed, int& swaps) {
+  std::mt19937_64 rng(seed * 31337 + 5);
+  std::vector<int> phys(static_cast<std::size_t>(dev.num_qubits()));
+  std::iota(phys.begin(), phys.end(), 0);
+  std::shuffle(phys.begin(), phys.end(), rng);
+  std::vector<int> layout(phys.begin(), phys.begin() + circuit.num_qubits());
+
+  Circuit proxy(circuit.num_qubits());
+  for (const Operation& op : circuit.ops()) {
+    if (op.is_unitary() && op.num_qubits() > 2) {
+      for (int i = 0; i < op.num_qubits(); ++i) {
+        for (int j = i + 1; j < op.num_qubits(); ++j) {
+          proxy.cx(op.qubit(i), op.qubit(j));
+        }
+      }
+    } else if (op.kind() != GateKind::kBarrier) {
+      proxy.append(op);
+    }
+  }
+  const Circuit& forward = proxy;
+  const Circuit inverse = proxy.inverse();
+  for (std::uint64_t iter = 0; iter < 3; ++iter) {
+    for (const Circuit* dir : {&forward, &inverse}) {
+      const auto outcome = qrc::passes::route(
+          qrc::passes::RoutingKind::kSabreSwap,
+          qrc::passes::apply_layout(*dir, layout, dev), dev, seed + iter);
+      swaps += outcome.swap_count;
+      for (int& p : layout) {
+        p = outcome.permutation[static_cast<std::size_t>(p)];
+      }
+    }
+  }
+  return layout;
+}
+
+/// Expects compute_layout(kSabre) to equal the reference, and counts the
+/// case as refined (the reference inserted a swap) or swap-free.
+void expect_sabre_matches_reference(const Circuit& c, const Device& dev,
+                                    std::uint64_t seed, int& refined,
+                                    int& swap_free) {
+  int swaps = 0;
+  const auto expected = reference_sabre_layout(c, dev, seed, swaps);
+  EXPECT_EQ(qrc::passes::compute_layout(qrc::passes::LayoutKind::kSabre, c,
+                                        dev, seed),
+            expected)
+      << dev.name() << ' ' << c.name() << " seed=" << seed;
+  ++(swaps > 0 ? refined : swap_free);
+}
+
+TEST(LayoutTest, SabreLayoutMatchesTheRefinementReference) {
+  const Device all_to_all("test_all_to_all12", Platform::kIonQ,
+                          qrc::device::CouplingMap::fully_connected(12), 3);
+  std::vector<const Device*> devices = qrc::device::all_devices();
+  devices.push_back(&all_to_all);
+  int refined = 0;
+  int swap_free = 0;
+  for (const Device* dev : devices) {
+    for (const auto family : qrc::bench::all_families()) {
+      for (const int n : {2, 3, 5, 8}) {
+        if (n > dev->num_qubits()) {
+          continue;
+        }
+        const Circuit c = qrc::bench::make_benchmark(family, n, 11);
+        for (const std::uint64_t seed : {1, 2, 9}) {
+          expect_sabre_matches_reference(c, *dev, seed, refined, swap_free);
+        }
+      }
+    }
+  }
+  EXPECT_GT(refined, 0);
+  EXPECT_GT(swap_free, 0);
+}
+
+TEST(LayoutTest, SabreLayoutMatchesTheReferenceWithThreeQubitGates) {
+  // No benchmark family has 3-qubit gates; short random circuits mixing
+  // them with barriers and non-unitary ops cover the proxy's clique rule.
+  const Device line("test_line4", Platform::kIBM,
+                    qrc::device::CouplingMap::line(4), 5);
+  const Device all_to_all("test_all_to_all5", Platform::kIonQ,
+                          qrc::device::CouplingMap::fully_connected(5), 6);
+  const Device& lucy = qrc::device::get_device(DeviceId::kOqcLucy);
+  int refined = 0;
+  int swap_free = 0;
+  for (const Device* dev : {&line, &all_to_all, &lucy}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      std::mt19937_64 rng(seed);
+      const int n = 3 + static_cast<int>(seed % 2);
+      std::vector<int> qs(static_cast<std::size_t>(n));
+      std::iota(qs.begin(), qs.end(), 0);
+      Circuit c(n, "wide");
+      const int length = 1 + static_cast<int>(seed % 5);
+      for (int i = 0; i < length; ++i) {
+        std::shuffle(qs.begin(), qs.end(), rng);
+        switch (rng() % 7) {
+          case 0: c.ccx(qs[0], qs[1], qs[2]); break;
+          case 1: c.cswap(qs[0], qs[1], qs[2]); break;
+          case 2: c.ccz(qs[0], qs[1], qs[2]); break;
+          case 3: c.cx(qs[0], qs[1]); break;
+          case 4: c.barrier(); break;
+          case 5: c.measure(qs[0]); break;
+          default: c.h(qs[0]); break;
+        }
+      }
+      expect_sabre_matches_reference(c, *dev, seed, refined, swap_free);
+    }
+  }
+  EXPECT_GT(refined, 0);
+  EXPECT_GT(swap_free, 0);
 }
 
 TEST(LayoutTest, ApplyLayoutRejectsNonInjective) {

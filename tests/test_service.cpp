@@ -265,6 +265,23 @@ TEST(JsonlTest, QuoteRoundTripsThroughTheParser) {
   EXPECT_EQ(parsed.as_string(), nasty);
 }
 
+TEST(JsonlTest, QuoteEmitsTheWireTextExactly) {
+  using qrc::service::json_quote;
+  EXPECT_EQ(json_quote(""), "\"\"");
+  EXPECT_EQ(json_quote("plain text"), "\"plain text\"");
+  EXPECT_EQ(json_quote("a\"b"), R"("a\"b")");
+  EXPECT_EQ(json_quote("a\\b"), R"("a\\b")");
+  EXPECT_EQ(json_quote("\b\f\n\r\t"), R"("\b\f\n\r\t")");
+  EXPECT_EQ(json_quote(std::string("\0", 1)), R"("\u0000")");
+  EXPECT_EQ(json_quote("\x01"), R"("\u0001")");
+  EXPECT_EQ(json_quote("\x1f"), R"("\u001f")");
+  // DEL and multi-byte UTF-8 (U+00E9, U+20AC, U+1F600) pass through raw.
+  EXPECT_EQ(json_quote("\x7f"), "\"\x7f\"");
+  EXPECT_EQ(json_quote("\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80"),
+            "\"\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\"");
+  EXPECT_EQ(json_quote("x\ny\"z\x01tail"), R"("x\ny\"z\u0001tail")");
+}
+
 TEST(JsonlTest, ResponseAndErrorLinesAreValidJson) {
   ServiceResponse response;
   response.id = "r\"1";
