@@ -186,7 +186,7 @@ void BM_ServeResponseLine(benchmark::State& state) {
   response.result.reward = 0.8125;
   response.latency_us = 1234;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qrc::service::serve_response_line(response, 1));
+    benchmark::DoNotOptimize(qrc::service::serve_response_line(response));
   }
 }
 BENCHMARK(BM_ServeResponseLine);

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "experiment_common.hpp"
+#include "obs/metrics.hpp"
 #include "service/compile_service.hpp"
 
 namespace {
@@ -44,7 +46,8 @@ struct RunResult {
   double requests_per_sec = 0.0;
   std::int64_t p50_latency_us = 0;
   std::int64_t p99_latency_us = 0;
-  service::ServiceStats stats;
+  /// The run's service registry, read after the service is gone.
+  std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
 std::int64_t percentile(std::vector<std::int64_t>& sorted, double p) {
@@ -126,7 +129,7 @@ RunResult run(service::CompileService& svc,
   std::sort(latencies.begin(), latencies.end());
   out.p50_latency_us = percentile(latencies, 50.0);
   out.p99_latency_us = percentile(latencies, 99.0);
-  out.stats = svc.stats();
+  out.metrics = svc.config().metrics;
   return out;
 }
 
@@ -170,7 +173,9 @@ int main() {
   }
 
   const auto run_one = [&](int run_clients) {
-    service::CompileService svc(config);
+    service::ServiceConfig run_config = config;
+    run_config.metrics = std::make_shared<obs::MetricsRegistry>();
+    service::CompileService svc(run_config);
     svc.registry().add(
         "fidelity",
         std::shared_ptr<const core::Predictor>(&fidelity,
@@ -194,21 +199,31 @@ int main() {
   const RunResult conc = run_one(clients);
   const double speedup =
       conc.requests_per_sec / std::max(single.requests_per_sec, 1e-12);
+  const obs::MetricsRegistry& metrics = *conc.metrics;
+  const std::uint64_t requests = metrics.counter_total("qrc_requests_total");
   const double hit_rate =
-      conc.stats.requests > 0
-          ? static_cast<double>(conc.stats.cache_hits) /
-                static_cast<double>(conc.stats.requests)
+      requests > 0
+          ? static_cast<double>(metrics.counter_value("qrc_cache_hits_total")) /
+                static_cast<double>(requests)
           : 0.0;
+  const int max_batch_observed =
+      static_cast<int>(metrics.gauge_value("qrc_batch_size_max"));
+  std::map<int, std::uint64_t> batch_sizes;  // numeric order for the report
+  for (const auto& [labels, count] :
+       metrics.counter_series("qrc_batches_by_size_total")) {
+    batch_sizes[std::stoi(labels.front().second)] += count;
+  }
   std::printf("  concurrent:    %7.1f req/sec  p50 %6lld us  p99 %6lld us\n",
               conc.requests_per_sec,
               static_cast<long long>(conc.p50_latency_us),
               static_cast<long long>(conc.p99_latency_us));
   std::printf("  cache hit rate %.3f, %llu batch(es), largest batch %d\n",
               hit_rate,
-              static_cast<unsigned long long>(conc.stats.batches),
-              conc.stats.max_batch_size);
+              static_cast<unsigned long long>(
+                  metrics.counter_value("qrc_batches_total")),
+              max_batch_observed);
   std::printf("  batch-size histogram:");
-  for (const auto& [size, count] : conc.stats.batch_size_histogram) {
+  for (const auto& [size, count] : batch_sizes) {
     std::printf(" %d:%llu", size,
                 static_cast<unsigned long long>(count));
   }
@@ -239,10 +254,9 @@ int main() {
                  conc.requests_per_sec,
                  static_cast<long long>(conc.p50_latency_us),
                  static_cast<long long>(conc.p99_latency_us), hit_rate,
-                 single.requests_per_sec, speedup,
-                 conc.stats.max_batch_size);
+                 single.requests_per_sec, speedup, max_batch_observed);
     bool first = true;
-    for (const auto& [size, count] : conc.stats.batch_size_histogram) {
+    for (const auto& [size, count] : batch_sizes) {
       std::fprintf(json, "%s\"%d\": %llu", first ? "" : ", ", size,
                    static_cast<unsigned long long>(count));
       first = false;

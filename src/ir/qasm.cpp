@@ -397,7 +397,11 @@ Circuit from_qasm(const std::string& text) {
         const std::size_t arrow = stmt.find("->");
         const std::string src = strip(stmt.substr(
             7, (arrow == std::string::npos ? stmt.size() : arrow) - 7));
-        circuit.measure(parse_qubit_ref(src, qreg_name));
+        if (src == qreg_name) {
+          circuit.measure_all();  // register broadcast: q[i] -> c[i]
+        } else {
+          circuit.measure(parse_qubit_ref(src, qreg_name));
+        }
         continue;
       }
       if (stmt.rfind("reset", 0) == 0) {

@@ -69,8 +69,6 @@ class EpollPoller final : public Poller {
     return n;
   }
 
-  [[nodiscard]] std::string_view name() const override { return "epoll"; }
-
  private:
   int epfd_;
   // epoll_ctl needs ADD vs MOD picked correctly; track membership here.
@@ -78,6 +76,7 @@ class EpollPoller final : public Poller {
 };
 #endif  // __linux__
 
+// Compiled on every platform so it cannot rot where epoll wins.
 class PollPoller final : public Poller {
  public:
   void set(int fd, bool want_read, bool want_write) override {
@@ -122,8 +121,6 @@ class PollPoller final : public Poller {
     return static_cast<int>(out.size());
   }
 
-  [[nodiscard]] std::string_view name() const override { return "poll"; }
-
  private:
   std::unordered_map<int, short> interest_;
   std::vector<pollfd> pollfds_;  // scratch, rebuilt per wait
@@ -131,17 +128,12 @@ class PollPoller final : public Poller {
 
 }  // namespace
 
-std::unique_ptr<Poller> make_poller(PollerKind kind) {
+std::unique_ptr<Poller> make_poller() {
 #ifdef __linux__
-  if (kind == PollerKind::kAuto || kind == PollerKind::kEpoll) {
-    return std::make_unique<EpollPoller>();
-  }
+  return std::make_unique<EpollPoller>();
 #else
-  if (kind == PollerKind::kEpoll) {
-    throw std::runtime_error("epoll poller is only available on Linux");
-  }
-#endif
   return std::make_unique<PollPoller>();
+#endif
 }
 
 }  // namespace qrc::net

@@ -1,11 +1,9 @@
 /// \file poller.hpp
 /// \brief Readiness-notification abstraction for the serve event loop:
-///        an epoll backend on Linux and a portable poll(2) fallback,
-///        selectable at runtime (`--poller` on the CLI, kAuto by default).
+///        epoll on Linux, poll(2) elsewhere, picked at build time.
 #pragma once
 
 #include <memory>
-#include <string_view>
 #include <vector>
 
 namespace qrc::net {
@@ -17,13 +15,6 @@ struct PollEvent {
   bool writable = false;
   /// Error/hangup on the fd; the owner should tear the connection down.
   bool closed = false;
-};
-
-/// Which backend to instantiate.
-enum class PollerKind : std::uint8_t {
-  kAuto,   ///< epoll where available, else poll
-  kEpoll,  ///< Linux epoll (throws elsewhere)
-  kPoll,   ///< portable poll(2)
 };
 
 /// Level-triggered readiness interface. Not thread-safe: all calls must
@@ -41,13 +32,9 @@ class Poller {
   /// Blocks up to `timeout_ms` (-1 = indefinitely) and appends ready fds
   /// to `out` (which is cleared first). Returns the number of events.
   virtual int wait(std::vector<PollEvent>& out, int timeout_ms) = 0;
-
-  /// Backend name for logs/benchmarks ("epoll" or "poll").
-  [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-/// \throws std::runtime_error when kEpoll is requested on a platform
-///         without epoll support.
-[[nodiscard]] std::unique_ptr<Poller> make_poller(PollerKind kind);
+/// The platform's backend: epoll on Linux, poll(2) elsewhere.
+[[nodiscard]] std::unique_ptr<Poller> make_poller();
 
 }  // namespace qrc::net

@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "ir/qasm.hpp"
+#include "net/stats.hpp"
 #include "obs/build_info.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
@@ -86,6 +88,18 @@ bool parse_profilez_query(const std::string& path, double& seconds, int& hz,
   return true;
 }
 
+/// The "stats" result frame: {"id","type":"result","op":"stats",
+/// <key>:<value>...} over every stats-table row.
+std::string serve_stats_line(std::string_view id,
+                             const obs::MetricsRegistry& registry) {
+  std::string out = "{\"id\":" + service::json_quote(id) +
+                    ",\"type\":\"result\",\"op\":\"stats\"";
+  for (const auto& [key, value] : read_stats(registry)) {
+    out += ",\"" + std::string(key) + "\":" + std::to_string(value);
+  }
+  return out + "}";
+}
+
 }  // namespace
 
 Server::Server(service::CompileService& service, ServerConfig config)
@@ -122,19 +136,36 @@ Server::Server(service::CompileService& service, ServerConfig config)
   connections_active_ =
       &reg.gauge("qrc_net_connections_active", "Open connections");
   obs::stamp_build_info(reg, rl::simd_kernel_name());
+  poller_ = make_poller();
 }
 
 Server::~Server() { stop(); }
+
+void Server::add_connection(Socket sock) {
+  if (started_.load()) {
+    throw std::logic_error("add_connection after start()");
+  }
+  // Accepted connections share the server and get max_inflight_per_conn;
+  // a handed-in one is its caller's only connection, so a piped batch is
+  // answered in full.
+  open_conn(std::move(sock), /*http=*/false,
+            std::numeric_limits<std::size_t>::max());
+}
 
 void Server::start() {
   if (started_.load()) {
     throw std::runtime_error("server already started");
   }
-  listener_ = listen_tcp(config_.host, config_.port);
-  port_ = local_port(listener_.fd());
+  if (config_.port >= 0) {
+    listener_ = listen_tcp(config_.host, config_.port);
+    port_ = local_port(listener_.fd());
+    poller_->set(listener_.fd(), /*want_read=*/true, /*want_write=*/false);
+  }
   if (config_.metrics_port >= 0) {
     metrics_listener_ = listen_tcp(config_.metrics_host, config_.metrics_port);
     metrics_port_ = local_port(metrics_listener_.fd());
+    poller_->set(metrics_listener_.fd(), /*want_read=*/true,
+                 /*want_write=*/false);
   }
 
   int pipe_fds[2];
@@ -146,23 +177,17 @@ void Server::start() {
   set_nonblocking(wake_read_.fd());
   set_nonblocking(wake_write_.fd());
 
-  poller_ = make_poller(config_.poller);
-  poller_->set(listener_.fd(), /*want_read=*/true, /*want_write=*/false);
-  if (metrics_listener_.valid()) {
-    poller_->set(metrics_listener_.fd(), /*want_read=*/true,
-                 /*want_write=*/false);
-  }
   poller_->set(wake_read_.fd(), /*want_read=*/true, /*want_write=*/false);
 
   started_.store(true);
   started_at_ = std::chrono::steady_clock::now();
   obs::FlightRecorder::instance().record(
       obs::FlightEventKind::kLifecycle, "net",
-      "server listening on port " + std::to_string(port_));
+      "server started on port " + std::to_string(port_));
   obs::Logger::instance().logf(
-      obs::LogLevel::kInfo, "net", "%s listening on %s:%d (metrics %d)",
-      obs::build_info_line(rl::simd_kernel_name()).c_str(),
-      config_.host.c_str(), port_, metrics_port_);
+      obs::LogLevel::kInfo, "net", "%s serving (port %d, metrics %d)",
+      obs::build_info_line(rl::simd_kernel_name()).c_str(), port_,
+      metrics_port_);
   loop_ = std::thread(&Server::run_loop, this);
 }
 
@@ -199,19 +224,6 @@ void Server::join() {
       t.join();
     }
   }
-}
-
-ServerStats Server::stats() const {
-  ServerStats out;
-  out.accepted = accepted_->value();
-  out.rejected = rejected_->value();
-  out.frames_in = frames_in_->value();
-  out.frames_out = frames_out_->value();
-  out.partial_frames = partial_frames_->value();
-  out.error_frames = error_frames_->value();
-  out.oversized_frames = oversized_frames_->value();
-  out.shed_inflight = shed_inflight_->value();
-  return out;
 }
 
 bool Server::drain_complete() const {
@@ -307,18 +319,24 @@ void Server::accept_ready(Socket& listener, bool http) {
       rejected_->inc();
       continue;
     }
-    set_nonblocking(fd);
-    const std::uint64_t conn_id = next_conn_id_++;
-    Conn conn;
-    conn.sock = Socket(fd);
-    conn.id = conn_id;
-    conn.http = http;
-    conns_.emplace(conn_id, std::move(conn));
-    fd_to_conn_[fd] = conn_id;
-    poller_->set(fd, /*want_read=*/true, /*want_write=*/false);
-    accepted_->inc();
-    connections_active_->add(1);
+    open_conn(Socket(fd), http, config_.max_inflight_per_conn);
   }
+}
+
+void Server::open_conn(Socket sock, bool http, std::size_t max_inflight) {
+  const int fd = sock.fd();
+  set_nonblocking(fd);
+  const std::uint64_t conn_id = next_conn_id_++;
+  Conn conn;
+  conn.sock = std::move(sock);
+  conn.id = conn_id;
+  conn.http = http;
+  conn.max_inflight = max_inflight;
+  conns_.emplace(conn_id, std::move(conn));
+  fd_to_conn_[fd] = conn_id;
+  poller_->set(fd, /*want_read=*/true, /*want_write=*/false);
+  accepted_->inc();
+  connections_active_->add(1);
 }
 
 void Server::handle_readable(Conn& conn) {
@@ -521,7 +539,7 @@ void Server::handle_http(Conn& conn) {
         } else {
           ++conn.inflight;
           ++pending_;
-          start_profile_job(conn.id, seconds, hz, /*http=*/true, "", 0);
+          start_profile_job(conn.id, seconds, hz, /*http=*/true, "");
           conn.rbuf.clear();
           conn.peer_eof = true;  // one-shot: nothing further is read
           update_interest(conn);
@@ -618,10 +636,10 @@ std::string Server::render_metrics() {
 }
 
 void Server::start_profile_job(std::uint64_t conn_id, double seconds, int hz,
-                               bool http, std::string id, int version) {
+                               bool http, std::string id) {
   std::lock_guard<std::mutex> lock(profile_threads_mutex_);
   profile_threads_.emplace_back([this, conn_id, seconds, hz, http,
-                                 id = std::move(id), version] {
+                                 id = std::move(id)] {
     obs::Profiler::enroll_current_thread();
     const std::optional<std::string> folded =
         obs::Profiler::collect_folded(seconds, hz);
@@ -650,15 +668,11 @@ void Server::start_profile_job(std::uint64_t conn_id, double seconds, int hz,
                        service::serve_profile_line(id, *folded, samples),
                        /*final_frame=*/true);
     } else {
-      enqueue_outbound(
-          conn_id,
-          version >= 1
-              ? service::serve_error_line(
-                    id, service::ErrorCode::kOverloaded,
-                    "profiler session already active; retry later")
-              : service::serve_error_line(
-                    id, "profiler session already active; retry later"),
-          /*final_frame=*/true);
+      enqueue_outbound(conn_id,
+                       service::serve_error_line(
+                           id, service::ErrorCode::kOverloaded,
+                           "profiler session already active; retry later"),
+                       /*final_frame=*/true);
     }
   });
 }
@@ -677,21 +691,9 @@ std::string Server::render_statusz() const {
     out += name;
   }
   out += '\n';
-  const service::ServiceStats svc = service_.stats();
-  out += "requests: " + std::to_string(svc.requests) + "\n";
-  out += "cache: " + std::to_string(svc.cache_hits) + " hits / " +
-         std::to_string(svc.cache_misses) + " misses / " +
-         std::to_string(svc.cache_evictions) + " evictions\n";
-  out += "batches: " + std::to_string(svc.batches) + " (max size " +
-         std::to_string(svc.max_batch_size) + ")\n";
-  out += "verify: " + std::to_string(svc.verified) + " equivalent / " +
-         std::to_string(svc.refuted) + " refuted / " +
-         std::to_string(svc.verify_unknown) + " unknown\n";
-  out += "search: " + std::to_string(svc.beam_requests) + " beam / " +
-         std::to_string(svc.mcts_requests) + " mcts, " +
-         std::to_string(svc.search_improved) + " improved, " +
-         std::to_string(svc.search_deadline_hits) + " deadline hits\n";
-  out += "shed: " + std::to_string(svc.shed) + "\n";
+  for (const auto& [key, value] : read_stats(service_.metrics())) {
+    out += std::string(key) + ": " + std::to_string(value) + "\n";
+  }
   out += "connections_active: " +
          std::to_string(connections_active_->value()) + "\n";
   const obs::ProfilerStats prof = obs::Profiler::stats();
@@ -744,16 +746,10 @@ void Server::handle_line(Conn& conn, const std::string& line) {
   try {
     request = service::parse_serve_request(line);
   } catch (const std::exception& e) {
-    const service::ErrorCode code = service::error_code_of(e);
-    const std::string id = service::extract_request_id(line);
-    // v1 senders (and version-negotiation failures) get typed errors;
-    // well-formed-looking v0 lines keep the bare compat shape.
-    const bool typed =
-        service::extract_request_version(line) == 1 ||
-        code == service::ErrorCode::kUnsupportedVersion;
     queue_frame(conn,
-                typed ? service::serve_error_line(id, code, e.what())
-                      : service::serve_error_line(id, e.what()),
+                service::serve_error_line(service::extract_request_id(line),
+                                          service::error_code_of(e),
+                                          e.what()),
                 /*is_error=*/true);
     return;
   }
@@ -765,7 +761,7 @@ void Server::handle_line(Conn& conn, const std::string& line) {
   }
   if (request.op == service::ServeOp::kStats) {
     queue_frame(conn,
-                service::serve_stats_line(request.id, service_.stats()),
+                serve_stats_line(request.id, service_.metrics()),
                 /*is_error=*/false);
     return;
   }
@@ -799,25 +795,18 @@ void Server::handle_line(Conn& conn, const std::string& line) {
     ++conn.inflight;
     ++pending_;
     start_profile_job(conn.id, request.profile_seconds, request.profile_hz,
-                      /*http=*/false, request.id, request.version);
+                      /*http=*/false, request.id);
     return;
   }
 
-  const auto shaped_error = [&request](service::ErrorCode code,
-                                       const std::string& message) {
-    return request.version >= 1
-               ? service::serve_error_line(request.id, code, message)
-               : service::serve_error_line(request.id, message);
-  };
-
-  if (conn.inflight >= config_.max_inflight_per_conn) {
+  if (conn.inflight >= conn.max_inflight) {
     shed_inflight_->inc();
     queue_frame(conn,
-                shaped_error(service::ErrorCode::kOverloaded,
-                             "connection is at its in-flight cap (" +
-                                 std::to_string(
-                                     config_.max_inflight_per_conn) +
-                                 " requests); wait for results"),
+                service::serve_error_line(
+                    request.id, service::ErrorCode::kOverloaded,
+                    "connection is at its in-flight cap (" +
+                        std::to_string(conn.max_inflight) +
+                        " requests); wait for results"),
                 /*is_error=*/true);
     return;
   }
@@ -827,8 +816,9 @@ void Server::handle_line(Conn& conn, const std::string& line) {
     circuit = ir::from_qasm(request.qasm);
   } catch (const std::exception& e) {
     queue_frame(conn,
-                shaped_error(service::ErrorCode::kBadRequest,
-                             std::string("qasm: ") + e.what()),
+                service::serve_error_line(request.id,
+                                          service::ErrorCode::kBadRequest,
+                                          std::string("qasm: ") + e.what()),
                 /*is_error=*/true);
     return;
   }
@@ -846,22 +836,18 @@ void Server::handle_line(Conn& conn, const std::string& line) {
 
   const std::uint64_t conn_id = conn.id;
   const std::string id = request.id;
-  const int version = request.version;
   service::SubmitHooks hooks;
-  hooks.on_result = [this, conn_id, version](service::ServiceResponse r) {
-    enqueue_outbound(conn_id, service::serve_response_line(r, version),
+  hooks.on_result = [this, conn_id](service::ServiceResponse r) {
+    enqueue_outbound(conn_id, service::serve_response_line(r),
                      /*final_frame=*/true);
   };
-  hooks.on_error = [this, conn_id, id, version](service::ErrorCode code,
-                                                const std::string& msg) {
-    enqueue_outbound(conn_id,
-                     version >= 1
-                         ? service::serve_error_line(id, code, msg)
-                         : service::serve_error_line(id, msg),
+  hooks.on_error = [this, conn_id, id](service::ErrorCode code,
+                                       const std::string& msg) {
+    enqueue_outbound(conn_id, service::serve_error_line(id, code, msg),
                      /*final_frame=*/true);
     error_frames_->inc();
   };
-  if (version >= 1 && request.search.has_value()) {
+  if (request.search.has_value()) {
     hooks.on_partial = [this, conn_id,
                         id](const search::SearchProgress& progress) {
       enqueue_outbound(conn_id, service::serve_partial_line(id, progress),
@@ -885,7 +871,9 @@ void Server::handle_line(Conn& conn, const std::string& line) {
     // throw before any hook fires, so the rollback cannot double-count.
     --conn.inflight;
     --pending_;
-    queue_frame(conn, shaped_error(service::error_code_of(e), e.what()),
+    queue_frame(conn,
+                service::serve_error_line(
+                    request.id, service::error_code_of(e), e.what()),
                 /*is_error=*/true);
   }
 }

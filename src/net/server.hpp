@@ -1,11 +1,14 @@
 /// \file server.hpp
-/// \brief Non-blocking TCP front end for the compile service: a single
-///        event-loop thread multiplexes many connections over a Poller,
-///        speaks the line-delimited serve protocol (v1 envelope + bare v0
-///        compat), and hands admitted work to CompileService's sharded
-///        per-model lanes via SubmitHooks. Lane threads never touch a
-///        socket — completed frames cross back to the loop through a
-///        mutex-guarded outbound queue and a wake pipe.
+/// \brief The one front end of the compile service: a single event-loop
+///        thread multiplexes many connections over a Poller, speaks the
+///        line-delimited serve protocol (service/jsonl.hpp), and hands
+///        admitted work to CompileService's sharded per-model lanes via
+///        SubmitHooks. Lane threads never touch a socket — completed
+///        frames cross back to the loop through a mutex-guarded outbound
+///        queue and a wake pipe. Connections come from the TCP listener
+///        or are handed in already connected (add_connection): `qrc serve`
+///        without --listen serves stdin/stdout over one end of a
+///        socketpair that way.
 ///
 /// Overload behaviour is typed, never silent: a connection over its
 /// in-flight cap or a lane over its queue bound gets an "overloaded"
@@ -15,13 +18,13 @@
 /// of buffering without bound.
 ///
 /// Observability: all counters live in the service's MetricsRegistry
-/// (qrc_net_*); ServerStats is a thin snapshot read. Requests with
+/// (qrc_net_*), read through the stats table (net/stats.hpp). Requests with
 /// "trace":true get a TraceContext allocated at frame decode whose span
 /// tree rides back on the response frame. An optional second listener
 /// (`metrics_host`/`metrics_port`) serves the ops endpoints on the same
 /// Poller loop: GET /metrics (Prometheus exposition), /healthz
 /// (liveness), /readyz (models loaded and lanes accepting), /statusz
-/// (build info, uptime, service snapshot, profiler/process counters,
+/// (build info, uptime, the stats table, profiler/process counters,
 /// recent flight-recorder and log tails), /debugz (flight-recorder dump
 /// as JSON) and /profilez?seconds=N&hz=H (sampling-profiler session;
 /// folded stacks, collected off-loop so other connections keep being
@@ -52,40 +55,27 @@ namespace qrc::net {
 
 struct ServerConfig {
   std::string host = "127.0.0.1";
-  /// 0 picks an ephemeral port; read it back via Server::port().
+  /// 0 picks an ephemeral port; read it back via Server::port(). < 0
+  /// opens no TCP listener: only add_connection() connections are served.
   int port = 0;
   /// Longest accepted request line (bytes, excluding the newline);
   /// longer lines get a frame_too_large error and are discarded.
   std::size_t max_frame_bytes = 1 << 20;
-  /// Per-connection cap on submitted-but-unanswered compiles; the
-  /// excess is shed with an "overloaded" error frame.
+  /// Per-connection cap on submitted-but-unanswered compiles of accepted
+  /// connections; the excess is shed with an "overloaded" error frame.
   std::size_t max_inflight_per_conn = 32;
   /// Write-buffer high watermark: past it the connection's reads pause
   /// until the peer drains below half of it.
   std::size_t max_write_buffer = 4u << 20;
   /// New connections past this are accepted and immediately closed.
   std::size_t max_connections = 256;
-  PollerKind poller = PollerKind::kAuto;
   /// HTTP GET /metrics side listener. metrics_port < 0 (default)
   /// disables it; 0 picks an ephemeral port (Server::metrics_port()).
   std::string metrics_host = "127.0.0.1";
   int metrics_port = -1;
 };
 
-/// Monotonic counters, all since start(). Snapshot via Server::stats();
-/// assembled from the service's MetricsRegistry (qrc_net_* families).
-struct ServerStats {
-  std::uint64_t accepted = 0;         ///< connections accepted
-  std::uint64_t rejected = 0;         ///< closed at the connection cap
-  std::uint64_t frames_in = 0;        ///< request lines parsed or refused
-  std::uint64_t frames_out = 0;       ///< response lines queued
-  std::uint64_t partial_frames = 0;   ///< "partial" lines queued
-  std::uint64_t error_frames = 0;     ///< "error" lines queued
-  std::uint64_t oversized_frames = 0; ///< lines over max_frame_bytes
-  std::uint64_t shed_inflight = 0;    ///< compiles shed at the conn cap
-};
-
-/// The socket serve layer. One instance owns one listener, one poller
+/// The serve layer. One instance owns at most one listener, one poller
 /// and one event-loop thread. Construct, start(), and keep it alive
 /// until stop() returns; the referenced CompileService must outlive it.
 class Server {
@@ -97,11 +87,19 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and launches the event loop.
+  /// Serves `sock`, an already-connected stream socket, as one more
+  /// line-protocol connection. It has no in-flight cap (lane bounds
+  /// still apply) and is closed once its peer has half-closed and every
+  /// request on it is answered.
+  /// \throws std::logic_error after start().
+  void add_connection(Socket sock);
+
+  /// Binds, listens (unless config.port < 0) and launches the event loop.
   /// \throws std::runtime_error when the bind fails.
   void start();
 
-  /// The bound port (resolves config.port == 0). Valid after start().
+  /// The bound port (resolves config.port == 0), or -1 without a
+  /// listener. Valid after start().
   [[nodiscard]] int port() const { return port_; }
 
   /// The bound /metrics port, or -1 when disabled. Valid after start().
@@ -119,8 +117,6 @@ class Server {
   /// drain). Returns immediately when never started.
   void join();
 
-  [[nodiscard]] ServerStats stats() const;
-
  private:
   struct Conn {
     Socket sock;
@@ -129,6 +125,7 @@ class Server {
     std::string wbuf;
     std::size_t woff = 0;  ///< bytes of wbuf already written
     std::size_t inflight = 0;
+    std::size_t max_inflight = 0;  ///< shed compiles beyond this many
     bool discarding = false;  ///< skipping the rest of an oversized line
     bool peer_eof = false;
     bool read_paused = false;
@@ -172,12 +169,14 @@ class Server {
   /// and is accounted like an in-flight compile, so graceful drain waits
   /// for it. Params must already be validated.
   void start_profile_job(std::uint64_t conn_id, double seconds, int hz,
-                         bool http, std::string id, int version);
+                         bool http, std::string id);
   void queue_frame(Conn& conn, std::string line, bool is_error);
   void enqueue_outbound(std::uint64_t conn_id, std::string line,
                         bool final_frame, bool raw = false);
   void drain_outbound();
   void update_interest(Conn& conn);
+  /// Registers an open socket as a new connection (made non-blocking).
+  void open_conn(Socket sock, bool http, std::size_t max_inflight);
   void close_conn(std::uint64_t conn_id);
   [[nodiscard]] bool drain_complete() const;
 
@@ -185,7 +184,7 @@ class Server {
   ServerConfig config_;
 
   Socket listener_;
-  int port_ = 0;
+  int port_ = -1;
   Socket metrics_listener_;
   int metrics_port_ = -1;
   Socket wake_read_;

@@ -131,6 +131,14 @@ Socket connect_tcp(const std::string& host, int port) {
                            std::to_string(port) + ": " + last_error);
 }
 
+std::pair<Socket, Socket> socket_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    fail_errno("socketpair");
+  }
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {

@@ -59,6 +59,11 @@ class Socket {
 /// \throws std::runtime_error with errno detail on failure.
 [[nodiscard]] Socket connect_tcp(const std::string& host, int port);
 
+/// A connected pair of blocking AF_UNIX stream sockets (CLOEXEC): one
+/// end for Server::add_connection, the other for its in-process peer.
+/// \throws std::runtime_error with errno detail on failure.
+[[nodiscard]] std::pair<Socket, Socket> socket_pair();
+
 /// Puts `fd` into non-blocking mode.
 void set_nonblocking(int fd);
 

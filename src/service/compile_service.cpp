@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "device/library.hpp"
 #include "ir/qasm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
@@ -88,7 +89,7 @@ CompileService::CompileService(ServiceConfig config)
       metrics_(config_.metrics != nullptr
                    ? config_.metrics
                    : std::make_shared<obs::MetricsRegistry>()),
-      cache_(config_.cache_entries, metrics_.get()) {
+      cache_(config_.cache_entries, *metrics_) {
   if (config_.max_batch < 1) {
     throw std::invalid_argument("CompileService: max_batch must be >= 1");
   }
@@ -228,6 +229,22 @@ void CompileService::submit_impl(const std::string& model_name,
   if (stopping_.load()) {
     throw ServiceError(ErrorCode::kShuttingDown,
                        "CompileService::submit: service is stopping");
+  }
+  // No device can hold a wider circuit, and a failed rollout fails its
+  // whole batch, so refuse it before it can share one.
+  static const int widest_device = [] {
+    int widest = 0;
+    for (const device::Device* dev : device::all_devices()) {
+      widest = std::max(widest, dev->num_qubits());
+    }
+    return widest;
+  }();
+  if (pending.circuit.num_qubits() > widest_device) {
+    throw ServiceError(ErrorCode::kBadRequest,
+                       "circuit has " +
+                           std::to_string(pending.circuit.num_qubits()) +
+                           " qubits; the widest device has " +
+                           std::to_string(widest_device));
   }
   pending.submitted = Clock::now();
   const std::string name = resolve_model_name(model_name);
@@ -705,50 +722,6 @@ void CompileService::count_verdict(const verify::VerifyResult& verdict) {
                    "flight recorder");
     obs::FlightRecorder::instance().dump(2);
   }
-}
-
-ServiceStats CompileService::stats() const {
-  ServiceStats out;
-  out.requests = metrics_->counter_total("qrc_requests_total");
-  out.batches = batches_total_->value();
-  out.batched_requests = batched_requests_total_->value();
-  out.max_batch_size = static_cast<int>(batch_size_max_->value());
-  for (const auto& [labels, value] :
-       metrics_->counter_series("qrc_batches_by_size_total")) {
-    for (const auto& [k, v] : labels) {
-      if (k == "size") {
-        out.batch_size_histogram[std::stoi(v)] += value;
-      }
-    }
-  }
-  for (const auto& [labels, value] :
-       metrics_->counter_series("qrc_verify_verdicts_total")) {
-    for (const auto& [k, v] : labels) {
-      if (k != "verdict") {
-        continue;
-      }
-      if (v == verify::verdict_name(verify::Verdict::kEquivalent)) {
-        out.verified += value;
-      } else if (v ==
-                 verify::verdict_name(verify::Verdict::kNotEquivalent)) {
-        out.refuted += value;
-      } else {
-        out.verify_unknown += value;
-      }
-    }
-  }
-  out.beam_requests = search_requests_beam_->value();
-  out.mcts_requests = search_requests_mcts_->value();
-  out.search_improved = metrics_->counter_total("qrc_search_improved_total");
-  out.search_deadline_hits =
-      metrics_->counter_total("qrc_search_deadline_hits_total");
-  out.shed = shed_total_->value();
-  out.partials = partials_total_->value();
-  const auto cache = cache_.stats();
-  out.cache_hits = cache.hits;
-  out.cache_misses = cache.misses;
-  out.cache_evictions = cache.evictions;
-  return out;
 }
 
 }  // namespace qrc::service

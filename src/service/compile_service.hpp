@@ -9,8 +9,8 @@
 ///        Predictor::compile() of the same circuit.
 ///
 /// Observability: every counter lives in an obs::MetricsRegistry owned by
-/// (or injected into) the service — ServiceStats is a thin snapshot read
-/// of registry values. Requests submitted with a TraceContext get scoped
+/// (or injected into) the service; the serve stats table (net/stats.hpp)
+/// reads it. Requests submitted with a TraceContext get scoped
 /// spans (queue wait, batch, rollout, search, verify) recorded as they
 /// move through the lane.
 #pragma once
@@ -83,35 +83,6 @@ struct ServiceResponse {
   std::shared_ptr<obs::TraceContext> trace;
 };
 
-/// Counter snapshot; all values monotone over the service lifetime.
-/// Assembled from the MetricsRegistry (the single source of truth).
-struct ServiceStats {
-  std::uint64_t requests = 0;          ///< total submitted
-  std::uint64_t cache_hits = 0;        ///< served without a policy run
-  std::uint64_t cache_misses = 0;      ///< had to be scheduled
-  std::uint64_t cache_evictions = 0;   ///< LRU entries displaced
-  std::uint64_t batches = 0;           ///< batched rollouts dispatched
-  std::uint64_t batched_requests = 0;  ///< requests across all batches
-  int max_batch_size = 0;              ///< largest fused batch
-  std::map<int, std::uint64_t> batch_size_histogram;  ///< size -> count
-  std::uint64_t verified = 0;        ///< verification verdicts: equivalent
-  std::uint64_t refuted = 0;         ///< verdicts: not equivalent
-  std::uint64_t verify_unknown = 0;  ///< verdicts: no tier could decide
-  // Per-strategy search counters. Search requests are scheduled through
-  // the lanes like any other, but run the planning engine instead of
-  // riding the fused greedy rollout, so they are not part of
-  // batches/batched_requests. beam/mcts_requests count every submission
-  // (cache hits included, like `requests`); improved/deadline counters
-  // count freshly searched responses only (cache hits replay a recorded
-  // outcome, they don't re-run the engine).
-  std::uint64_t beam_requests = 0;  ///< submitted with a beam search config
-  std::uint64_t mcts_requests = 0;  ///< submitted with an MCTS config
-  std::uint64_t search_improved = 0;       ///< fresh searches beating greedy
-  std::uint64_t search_deadline_hits = 0;  ///< fresh searches cut by deadline
-  std::uint64_t shed = 0;      ///< requests refused by admission control
-  std::uint64_t partials = 0;  ///< streamed search-progress events delivered
-};
-
 /// Completion/streaming hooks for submit(). All hooks fire on the model
 /// lane's scheduler thread (never the submitter's), so they must be cheap
 /// and must not call back into the service. `on_partial` only fires for
@@ -154,6 +125,8 @@ class CompileService {
   /// searched results never alias greedy ones (or searches under other
   /// configs). `trace`, if set, collects scoped spans for the request —
   /// tracing is observation-only and never changes the compiled result.
+  /// \throws ServiceError(kBadRequest) when the circuit is wider than the
+  ///         widest library device (no target could ever hold it).
   /// \throws ServiceError(kUnknownModel) if the model cannot be resolved.
   /// \throws ServiceError(kOverloaded) when the lane queue is full
   ///         (ServiceConfig::max_lane_queue).
@@ -179,7 +152,6 @@ class CompileService {
   ServiceResponse compile(const std::string& model_name,
                           const ir::Circuit& circuit);
 
-  [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
  private:

@@ -1,7 +1,7 @@
 /// \file errors.hpp
 /// \brief Typed service/protocol errors. Every failure the serve layer can
 ///        hand a client maps onto one ErrorCode; the wire protocol carries
-///        the code verbatim in the v1 error envelope ({"error":{"code",
+///        the code verbatim in its error frame ({"error":{"code",
 ///        "message"}}), so clients can react programmatically (retry on
 ///        `overloaded`, fix the request on `bad_request`) instead of
 ///        grepping message text.
@@ -23,7 +23,7 @@ enum class ErrorCode : std::uint8_t {
                         ///< per-connection in-flight cap); safe to retry
   kShuttingDown,        ///< server is draining; no new work accepted
   kFrameTooLarge,       ///< request line exceeded the frame size limit
-  kUnsupportedVersion,  ///< request "v" is neither absent (v0) nor 1
+  kUnsupportedVersion,  ///< request "v" is missing or not 1
   kInternal,            ///< unexpected server-side failure
 };
 

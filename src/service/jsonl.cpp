@@ -389,24 +389,6 @@ std::string json_quote(std::string_view s) {
   return out;
 }
 
-std::string_view serve_op_name(ServeOp op) {
-  switch (op) {
-    case ServeOp::kCompile:
-      return "compile";
-    case ServeOp::kStats:
-      return "stats";
-    case ServeOp::kPing:
-      return "ping";
-    case ServeOp::kMetrics:
-      return "metrics";
-    case ServeOp::kDebugDump:
-      return "debug_dump";
-    case ServeOp::kProfile:
-      return "profile";
-  }
-  return "compile";
-}
-
 namespace {
 
 [[noreturn]] void bad_request(const std::string& what) {
@@ -428,21 +410,16 @@ ServeRequest parse_serve_request(std::string_view line) {
   const auto& obj = v.as_object();
 
   ServeRequest request;
-  // Envelope first: "v"/"op" mark a v1 request; a bare line is the v0
-  // compat shim (always a compile). "v" other than 1 is rejected with its
-  // own code so a future-protocol client gets a machine-readable signal.
-  if (const auto it = obj.find("v"); it != obj.end()) {
-    if (!it->second.is_number() || it->second.as_number() != 1.0) {
-      throw ServiceError(ErrorCode::kUnsupportedVersion,
-                         "unsupported protocol version (this server "
-                         "speaks v1 and bare v0 lines)");
-    }
-    request.version = 1;
+  // Envelope first. A line without "v":1 is refused with its own code, so
+  // an old or future client gets a machine-readable signal.
+  if (const auto it = obj.find("v");
+      it == obj.end() || !it->second.is_number() ||
+      it->second.as_number() != 1.0) {
+    throw ServiceError(ErrorCode::kUnsupportedVersion,
+                       "unsupported protocol version; this server speaks "
+                       "v1 only (add \"v\":1)");
   }
   if (const auto it = obj.find("op"); it != obj.end()) {
-    if (request.version != 1) {
-      bad_request("'op' requires the v1 envelope (add \"v\":1)");
-    }
     if (!it->second.is_string()) {
       bad_request("'op' must be a string");
     }
@@ -598,29 +575,9 @@ std::string extract_request_id(std::string_view line) {
   return "";
 }
 
-int extract_request_version(std::string_view line) {
-  try {
-    const JsonValue v = JsonValue::parse(line);
-    if (v.is_object()) {
-      const auto& obj = v.as_object();
-      const auto it = obj.find("v");
-      if (it != obj.end() && it->second.is_number() &&
-          it->second.as_number() == 1.0) {
-        return 1;
-      }
-    }
-  } catch (const std::exception&) {
-    // Malformed line: shape the error as v0 for maximum compatibility.
-  }
-  return 0;
-}
-
-std::string serve_response_line(const ServiceResponse& r, int version) {
-  std::string out = "{\"id\":" + json_quote(r.id);
-  if (version >= 1) {
-    out += ",\"type\":\"result\"";
-  }
-  out += ",\"model\":" + json_quote(r.model);
+std::string serve_response_line(const ServiceResponse& r) {
+  std::string out = "{\"id\":" + json_quote(r.id) +
+                    ",\"type\":\"result\",\"model\":" + json_quote(r.model);
   out += ",\"qasm\":" + json_quote(ir::to_qasm(r.result.circuit));
   out += ",\"reward\":" + dump_number(r.result.reward);
   out += ",\"device\":";
@@ -671,43 +628,12 @@ std::string serve_partial_line(std::string_view id,
   return out + "}";
 }
 
-std::string serve_error_line(std::string_view id, std::string_view message) {
-  return "{\"id\":" + json_quote(id) +
-         ",\"error\":" + json_quote(message) + "}";
-}
-
 std::string serve_error_line(std::string_view id, ErrorCode code,
                              std::string_view message) {
   return "{\"id\":" + json_quote(id) +
          ",\"type\":\"error\",\"error\":{\"code\":" +
          json_quote(error_code_name(code)) +
          ",\"message\":" + json_quote(message) + "}}";
-}
-
-std::string serve_stats_line(std::string_view id,
-                             const ServiceStats& stats) {
-  std::string out = "{\"id\":" + json_quote(id);
-  out += ",\"type\":\"result\",\"op\":\"stats\"";
-  const auto field = [&out](const char* name, std::uint64_t value) {
-    out += ",\"";
-    out += name;
-    out += "\":" + std::to_string(value);
-  };
-  field("requests", stats.requests);
-  field("cache_hits", stats.cache_hits);
-  field("cache_misses", stats.cache_misses);
-  field("batches", stats.batches);
-  field("batched_requests", stats.batched_requests);
-  field("verified", stats.verified);
-  field("refuted", stats.refuted);
-  field("verify_unknown", stats.verify_unknown);
-  field("beam_requests", stats.beam_requests);
-  field("mcts_requests", stats.mcts_requests);
-  field("search_improved", stats.search_improved);
-  field("search_deadline_hits", stats.search_deadline_hits);
-  field("shed", stats.shed);
-  field("partials", stats.partials);
-  return out + "}";
 }
 
 std::string serve_pong_line(std::string_view id) {

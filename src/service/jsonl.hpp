@@ -79,32 +79,24 @@ class JsonValue {
 
 // ------------------------------------------------------ serve protocol ---
 
-/// Operation carried by a v1 request envelope.
+/// Operation carried by a request envelope.
 enum class ServeOp : std::uint8_t {
-  kCompile,    ///< compile a circuit (the only v0 operation)
-  kStats,      ///< snapshot the service counters
+  kCompile,    ///< compile a circuit (the default when "op" is absent)
+  kStats,      ///< the serve stats table (net/stats.hpp)
   kPing,       ///< liveness probe
   kMetrics,    ///< Prometheus text exposition of the metrics registry
   kDebugDump,  ///< flight-recorder snapshot (recent notable events)
   kProfile,    ///< sampling-profiler session; folded stacks on the result
 };
 
-[[nodiscard]] std::string_view serve_op_name(ServeOp op);
-
-/// One serve request line, either protocol version.
+/// One serve request line (protocol v1, the only version):
+/// {"v":1, "op":"compile"|"stats"|"ping"|"metrics"|"debug_dump"|"profile",
+///  "id": ...} plus the op's payload fields. Responses carry
+/// "type":"result"|"partial"|"error"; errors are typed objects
+/// {"code","message"} (see ErrorCode). Search compiles stream interim
+/// "partial" frames before the final "result".
 ///
-/// v1 envelope: {"v":1, "op":"compile"|"stats"|"ping", "id": ...} plus —
-/// for "compile" — the same payload fields as v0. Responses to v1
-/// requests carry "type":"result"|"partial"|"error"; errors are typed
-/// objects {"code","message"} (see ErrorCode). Deadline-bounded search
-/// compiles stream interim "partial" frames before the final "result".
-///
-/// v0 (compat shim): a bare line without "v"/"op" —
-/// {"id": ..., "model": ..., "qasm": ..., "verify": ..., "search": ...,
-///  "deadline_ms": ...} — still parses as a compile, and its responses
-/// keep the original untyped single-line shape.
-///
-/// `qasm` is required for compiles; `model` defaults to the service's
+/// Compile payload: `qasm` is required; `model` defaults to the service's
 /// default model; `id` (string or number, echoed back as a string)
 /// defaults to ""; `verify` (bool, default false) requests the
 /// post-compile equivalence gate — the response then carries
@@ -118,7 +110,6 @@ enum class ServeOp : std::uint8_t {
 /// tree as a "trace" object on the response — tracing is observation-only
 /// and never changes the compiled result.
 struct ServeRequest {
-  int version = 0;  ///< 0 (bare compat line) or 1 (enveloped)
   ServeOp op = ServeOp::kCompile;
   std::string id;
   std::string model;
@@ -132,10 +123,11 @@ struct ServeRequest {
   int profile_hz = 97;
 };
 
-/// Parses and validates one request line (either version). Unknown
-/// top-level fields are rejected (a typoed "verifi" must fail loudly, not
-/// silently skip verification).
-/// \throws ServiceError(kUnsupportedVersion) when "v" is present but not 1.
+/// Parses and validates one request line. Unknown top-level fields are
+/// rejected (a typoed "verifi" must fail loudly, not silently skip
+/// verification).
+/// \throws ServiceError(kBadRequest) when the line is not a JSON object.
+/// \throws ServiceError(kUnsupportedVersion) when "v" is missing or not 1.
 /// \throws ServiceError(kBadRequest) naming the missing/mistyped/unknown
 ///         field otherwise.
 [[nodiscard]] ServeRequest parse_serve_request(std::string_view line);
@@ -146,17 +138,11 @@ struct ServeRequest {
 /// clients can still correlate the error response.
 [[nodiscard]] std::string extract_request_id(std::string_view line);
 
-/// Best-effort protocol-version sniff for error reporting: 1 when `line`
-/// is a JSON object with "v":1, else 0. Never throws — used to pick the
-/// error-frame shape (typed v1 object vs bare v0 string) for request
-/// lines that fail validation.
-[[nodiscard]] int extract_request_version(std::string_view line);
-
-/// Serialises one compile-result line:
-/// {"id","model","qasm","reward","device","used_fallback","cached",
-///  "latency_us"} — `qasm` is the compiled circuit, `device` the chosen
-/// target (null if compilation never picked one). When the request asked
-/// for verification, three more fields follow: "verdict"
+/// Serialises one compile-result frame:
+/// {"id","type":"result","model","qasm","reward","device","used_fallback",
+///  "cached","latency_us"} — `qasm` is the compiled circuit, `device` the
+/// chosen target (null if compilation never picked one). When the request
+/// asked for verification, three more fields follow: "verdict"
 /// ("equivalent"/"not_equivalent"/"unknown"), "verify_method"
 /// ("clifford_tableau"/"alternating_miter"/"random_stimuli"/"none") and
 /// "verify_confidence" (1.0 for exact tiers). When it asked for search,
@@ -165,49 +151,37 @@ struct ServeRequest {
 /// (reward gained over the greedy baseline, >= 0 by the clamp). When the
 /// request asked for tracing, a final "trace" field carries the span tree
 /// (obs::TraceContext::to_json()).
-/// `version` 1 additionally tags the frame with "type":"result"; 0 keeps
-/// the exact pre-envelope shape for v0 clients.
-[[nodiscard]] std::string serve_response_line(const ServiceResponse& r,
-                                              int version = 0);
+[[nodiscard]] std::string serve_response_line(const ServiceResponse& r);
 
-/// Serialises one v1 streamed-progress frame:
+/// Serialises one streamed-progress frame:
 /// {"id","type":"partial","strategy","quantum","nodes","found_terminal",
-///  "best_reward","elapsed_us"}. Only ever sent to v1 clients.
+///  "best_reward","elapsed_us"}.
 [[nodiscard]] std::string serve_partial_line(
     std::string_view id, const search::SearchProgress& progress);
 
-/// Serialises one v0 error line: {"id": ..., "error": "<message>"}.
-[[nodiscard]] std::string serve_error_line(std::string_view id,
-                                           std::string_view message);
-
-/// Serialises one v1 error frame:
+/// Serialises one error frame:
 /// {"id","type":"error","error":{"code","message"}} with `code` from the
 /// fixed ErrorCode enum.
 [[nodiscard]] std::string serve_error_line(std::string_view id,
                                            ErrorCode code,
                                            std::string_view message);
 
-/// Serialises the v1 "stats" result frame: {"id","type":"result",
-/// "op":"stats", <counter fields>}.
-[[nodiscard]] std::string serve_stats_line(std::string_view id,
-                                           const ServiceStats& stats);
-
-/// Serialises the v1 "ping" result frame: {"id","type":"result",
+/// Serialises the "ping" result frame: {"id","type":"result",
 /// "op":"ping"}.
 [[nodiscard]] std::string serve_pong_line(std::string_view id);
 
-/// Serialises the v1 "metrics" result frame: {"id","type":"result",
+/// Serialises the "metrics" result frame: {"id","type":"result",
 /// "op":"metrics","content_type":...,"body":<exposition text>}.
 [[nodiscard]] std::string serve_metrics_line(std::string_view id,
                                              std::string_view exposition);
 
-/// Serialises the v1 "debug_dump" result frame: {"id","type":"result",
+/// Serialises the "debug_dump" result frame: {"id","type":"result",
 /// "op":"debug_dump","events":[...]} where `events_json` is an already-
 /// serialised JSON array (obs::FlightRecorder::dump_json()).
 [[nodiscard]] std::string serve_debug_dump_line(std::string_view id,
                                                 std::string_view events_json);
 
-/// Serialises the v1 "profile" result frame: {"id","type":"result",
+/// Serialises the "profile" result frame: {"id","type":"result",
 /// "op":"profile","samples":N,"folded":<collapsed stacks, one
 /// "frame;frame count" line per unique stack>}.
 [[nodiscard]] std::string serve_profile_line(std::string_view id,

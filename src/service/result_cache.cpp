@@ -2,13 +2,8 @@
 
 namespace qrc::service {
 
-ResultCache::ResultCache(std::size_t capacity, obs::MetricsRegistry* registry)
-    : capacity_(capacity),
-      owned_registry_(registry == nullptr
-                          ? std::make_unique<obs::MetricsRegistry>()
-                          : nullptr) {
-  obs::MetricsRegistry& reg =
-      registry != nullptr ? *registry : *owned_registry_;
+ResultCache::ResultCache(std::size_t capacity, obs::MetricsRegistry& reg)
+    : capacity_(capacity) {
   hits_ = &reg.counter("qrc_cache_hits_total", "Result cache hits");
   misses_ = &reg.counter("qrc_cache_misses_total", "Result cache misses");
   evictions_ =
@@ -58,15 +53,6 @@ void ResultCache::put(const std::string& key,
 std::size_t ResultCache::size() const {
   std::lock_guard lock(mu_);
   return lru_.size();
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  Stats out;
-  out.hits = hits_->value();
-  out.misses = misses_->value();
-  out.evictions = evictions_->value();
-  out.insertions = insertions_->value();
-  return out;
 }
 
 }  // namespace qrc::service

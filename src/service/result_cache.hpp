@@ -6,9 +6,7 @@
 ///        Predictor::compile() of the same circuit.
 #pragma once
 
-#include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -22,20 +20,10 @@ namespace qrc::service {
 
 class ResultCache {
  public:
-  /// Legacy snapshot shape; a thin read of the qrc_cache_* registry
-  /// counters (the registry is the single source of truth).
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t insertions = 0;
-  };
-
   /// `capacity` 0 disables the cache (every get misses, put is a no-op).
-  /// Counters land in `registry` when given (the service passes its own);
-  /// a standalone cache owns a private registry so it still counts.
-  explicit ResultCache(std::size_t capacity,
-                       obs::MetricsRegistry* registry = nullptr);
+  /// The qrc_cache_* counters land in `registry`, which must outlive the
+  /// cache.
+  ResultCache(std::size_t capacity, obs::MetricsRegistry& registry);
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -50,13 +38,11 @@ class ResultCache {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
-  [[nodiscard]] Stats stats() const;
 
  private:
   using Entry = std::pair<std::string, core::CompilationResult>;
 
   const std::size_t capacity_;
-  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* evictions_;

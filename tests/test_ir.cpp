@@ -671,6 +671,19 @@ TEST(QasmTest, RejectsMalformedInputWithoutUncaughtStdExceptions) {
   }
 }
 
+TEST(QasmTest, MeasureOfAWholeRegisterBroadcasts) {
+  // Qiskit and MQT Bench exports end with `measure q -> c;`.
+  const Circuit c = qrc::ir::from_qasm(
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n"
+      "h q[0];\nmeasure q -> c;\n");
+  Circuit want(3);
+  want.h(0);
+  want.measure_all();
+  EXPECT_TRUE(c == want) << qrc::ir::to_qasm(c);
+  EXPECT_THROW((void)qrc::ir::from_qasm("qreg q[2];\nmeasure r -> c;\n"),
+               std::runtime_error);
+}
+
 TEST(QasmTest, ErrorsCarryTheQasmParseErrorPrefix) {
   try {
     (void)qrc::ir::from_qasm("qreg q[1];\nfoo q[0];\n");

@@ -1,11 +1,13 @@
-// Tests for the socket serve layer: the versioned wire envelope (v1 +
-// bare v0 compat) and its codecs, the non-blocking TCP server — many
-// concurrent clients, bitwise agreement with direct Predictor::compile(),
-// malformed/oversized frame handling, typed "overloaded" load shedding at
-// both the per-connection and per-lane bounds, partial-then-final
-// streaming for deadline-bounded searches — and graceful drain semantics.
+// Tests for the serve layer: the v1 wire envelope and its codecs, the
+// non-blocking TCP server — many concurrent clients, bitwise agreement
+// with direct Predictor::compile(), malformed/oversized frame handling,
+// typed "overloaded" load shedding at both the per-connection and
+// per-lane bounds, partial-then-final streaming for deadline-bounded
+// searches — graceful drain semantics, and the stdio front end: a server
+// without a listener serving one handed-in socketpair connection.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <map>
@@ -148,7 +150,6 @@ TEST(ServeProtocolTest, V1CompileEnvelopeRoundTrips) {
       "{\"v\":1,\"op\":\"compile\",\"id\":7,\"model\":\"m\","
       "\"qasm\":\"OPENQASM 2.0;\",\"verify\":true,"
       "\"search\":\"beam:6\",\"deadline_ms\":250}");
-  EXPECT_EQ(request.version, 1);
   EXPECT_EQ(request.op, ServeOp::kCompile);
   EXPECT_EQ(request.id, "7");
   EXPECT_EQ(request.model, "m");
@@ -177,14 +178,6 @@ TEST(ServeProtocolTest, V1ControlOpsParse) {
                ServiceError);
 }
 
-TEST(ServeProtocolTest, BareV0LineStillParses) {
-  const auto request = qrc::service::parse_serve_request(
-      "{\"id\":\"legacy\",\"qasm\":\"OPENQASM 2.0;\"}");
-  EXPECT_EQ(request.version, 0);
-  EXPECT_EQ(request.op, ServeOp::kCompile);
-  EXPECT_EQ(request.id, "legacy");
-}
-
 TEST(ServeProtocolTest, UnsupportedVersionIsTyped) {
   try {
     (void)qrc::service::parse_serve_request("{\"v\":2,\"op\":\"ping\"}");
@@ -192,26 +185,26 @@ TEST(ServeProtocolTest, UnsupportedVersionIsTyped) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kUnsupportedVersion);
   }
-  EXPECT_EQ(qrc::service::extract_request_version("{\"v\":1,\"op\":\"x\"}"),
-            1);
-  EXPECT_EQ(qrc::service::extract_request_version("{\"id\":\"a\"}"), 0);
-  EXPECT_EQ(qrc::service::extract_request_version("not json"), 0);
+  // A bare line without "v" is refused the same way, pointing at the fix.
+  try {
+    (void)qrc::service::parse_serve_request(
+        "{\"id\":\"legacy\",\"qasm\":\"OPENQASM 2.0;\"}");
+    FAIL() << "expected ServiceError";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupportedVersion);
+    EXPECT_NE(std::string(e.what()).find("\"v\":1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeProtocolTest, ResponseLinesAreVersionShaped) {
   qrc::service::ServiceResponse response;
   response.id = "r1";
   response.model = "m";
-  const auto v0 = JsonValue::parse(
-      qrc::service::serve_response_line(response, /*version=*/0));
-  EXPECT_FALSE(has_field(v0, "type"));
-  const auto v1 = JsonValue::parse(
-      qrc::service::serve_response_line(response, /*version=*/1));
+  const auto v1 =
+      JsonValue::parse(qrc::service::serve_response_line(response));
   EXPECT_EQ(str_field(v1, "type"), "result");
 
-  const auto bare_error = JsonValue::parse(
-      qrc::service::serve_error_line("e0", "boom"));
-  EXPECT_TRUE(as_object(bare_error).at("error").is_string());
   const auto typed_error = JsonValue::parse(qrc::service::serve_error_line(
       "e1", ErrorCode::kOverloaded, "busy"));
   EXPECT_EQ(str_field(typed_error, "type"), "error");
@@ -388,12 +381,12 @@ TEST(NetServeTest, MalformedLinesGetTypedErrorsAndConnectionSurvives) {
   TestServer ts;
   Client client(ts.port());
 
-  // Unparseable JSON: no version to sniff, so the v0 error shape.
+  // Unparseable JSON: typed bad_request.
   client.send("this is not json");
   auto line = client.recv();
   ASSERT_TRUE(line.has_value());
   auto frame = JsonValue::parse(*line);
-  EXPECT_TRUE(as_object(frame).at("error").is_string());
+  EXPECT_EQ(error_code(frame), "bad_request");
 
   // Well-formed v1 envelope missing its payload: typed bad_request.
   client.send("{\"v\":1,\"op\":\"compile\",\"id\":\"m1\"}");
@@ -438,22 +431,6 @@ TEST(NetServeTest, OversizedFrameIsRejectedWithoutKillingConnection) {
   EXPECT_EQ(str_field(JsonValue::parse(*line), "id"), "after");
 }
 
-TEST(NetServeTest, V0BareRequestKeepsLegacyResponseShape) {
-  TestServer ts;
-  Client client(ts.port());
-  const Circuit circuit = small_ghz();
-  client.send("{\"id\":\"old\",\"qasm\":" +
-              qrc::service::json_quote(qrc::ir::to_qasm(circuit)) + "}");
-  const auto line = client.recv();
-  ASSERT_TRUE(line.has_value());
-  const auto frame = JsonValue::parse(*line);
-  EXPECT_FALSE(has_field(frame, "type"));  // pre-envelope shape
-  EXPECT_EQ(str_field(frame, "id"), "old");
-  EXPECT_EQ(str_field(frame, "qasm"),
-            qrc::ir::to_qasm(
-                shared_model().compile(wire_roundtrip(circuit)).circuit));
-}
-
 TEST(NetServeTest, ConnectionInflightCapShedsWithTypedOverloaded) {
   qrc::net::ServerConfig net_config;
   net_config.max_inflight_per_conn = 2;
@@ -494,7 +471,9 @@ TEST(NetServeTest, ConnectionInflightCapShedsWithTypedOverloaded) {
   }
   EXPECT_EQ(finals, kRequests);
   EXPECT_GE(overloaded, 1);
-  EXPECT_GE(ts.server.stats().shed_inflight, 1u);
+  EXPECT_GE(ts.service.metrics().counter_value(
+                "qrc_shed_total", {{"reason", "conn_inflight"}}),
+            1u);
 }
 
 TEST(NetServeTest, LaneQueueBoundShedsWithTypedOverloaded) {
@@ -534,7 +513,9 @@ TEST(NetServeTest, LaneQueueBoundShedsWithTypedOverloaded) {
   }
   EXPECT_EQ(finals, kRequests);
   EXPECT_GE(overloaded, 1);
-  EXPECT_GE(ts.service.stats().shed, 1u);
+  EXPECT_GE(ts.service.metrics().counter_value(
+                "qrc_shed_total", {{"reason", "lane_queue"}}),
+            1u);
 }
 
 TEST(NetServeTest, DeadlineBoundedSearchStreamsPartialsBeforeFinal) {
@@ -566,7 +547,9 @@ TEST(NetServeTest, DeadlineBoundedSearchStreamsPartialsBeforeFinal) {
   // The greedy-baseline snapshot guarantees at least one partial for
   // every streamed search, even when the deadline lands instantly.
   EXPECT_GE(partials, 1);
-  EXPECT_GE(ts.server.stats().partial_frames, 1u);
+  EXPECT_GE(
+      ts.service.metrics().counter_value("qrc_net_partial_frames_total"),
+      1u);
 }
 
 TEST(NetServeTest, GracefulDrainAnswersInflightThenCloses) {
@@ -601,6 +584,149 @@ TEST(NetServeTest, GracefulDrainAnswersInflightThenCloses) {
   // The listener is gone: new connections are refused.
   EXPECT_THROW((void)qrc::net::connect_tcp("127.0.0.1", port),
                std::runtime_error);
+}
+
+// ------------------------------------------------------ stdio front end ---
+
+/// What `qrc serve` without --listen runs: a server with no TCP listener
+/// that owns one end of a socketpair. The test holds the other end, in
+/// the role of the CLI's stdin/stdout pump.
+struct StdioServer {
+  CompileService service;
+  qrc::net::Server server;
+  qrc::net::Socket peer;
+
+  explicit StdioServer(qrc::net::ServerConfig net_config = {})
+      : server(service, [&net_config] {
+          net_config.port = -1;
+          return net_config;
+        }()) {
+    service.registry().add("fidelity", shared_handle());
+    auto [server_end, peer_end] = qrc::net::socket_pair();
+    server.add_connection(std::move(server_end));
+    peer = std::move(peer_end);
+    server.start();
+  }
+
+  void send(const std::string& line) {
+    qrc::net::send_all(peer.fd(), line + "\n");
+  }
+
+  /// Half-closes the peer's write side (stdin EOF), then reads every
+  /// frame until the server closes the connection.
+  std::vector<JsonValue> finish() {
+    ::shutdown(peer.fd(), SHUT_WR);
+    std::vector<JsonValue> frames;
+    qrc::net::LineReader reader(peer.fd());
+    while (const auto line = reader.next_line()) {
+      frames.push_back(JsonValue::parse(*line));
+    }
+    return frames;
+  }
+};
+
+const JsonValue* frame_with_id(const std::vector<JsonValue>& frames,
+                               const std::string& id) {
+  for (const JsonValue& frame : frames) {
+    if (str_field(frame, "id") == id &&
+        str_field(frame, "type") != "partial") {
+      return &frame;
+    }
+  }
+  ADD_FAILURE() << "no final frame for id '" << id << "'";
+  return nullptr;
+}
+
+TEST(StdioServeTest, OneConnectionAnswersCompileAndControlOps) {
+  StdioServer stdio;
+  EXPECT_EQ(stdio.server.port(), -1);
+  const Circuit circuit = small_ghz();
+  const std::string direct = qrc::ir::to_qasm(
+      shared_model().compile(wire_roundtrip(circuit)).circuit);
+
+  stdio.send(compile_request("c1", circuit));
+  stdio.send("{\"v\":1,\"op\":\"ping\",\"id\":\"p1\"}");
+  stdio.send("{\"v\":1,\"op\":\"stats\",\"id\":\"s1\"}");
+  stdio.send("{\"id\":\"old\",\"qasm\":" +
+             qrc::service::json_quote(qrc::ir::to_qasm(circuit)) + "}");
+  stdio.send("{\"id\":\"garbled\",");
+  const auto frames = stdio.finish();
+  ASSERT_EQ(frames.size(), 5u);
+
+  const JsonValue* compiled = frame_with_id(frames, "c1");
+  ASSERT_NE(compiled, nullptr);
+  ASSERT_EQ(str_field(*compiled, "type"), "result") << compiled->dump();
+  EXPECT_EQ(str_field(*compiled, "qasm"), direct);
+
+  const JsonValue* pong = frame_with_id(frames, "p1");
+  ASSERT_NE(pong, nullptr);
+  EXPECT_EQ(str_field(*pong, "op"), "ping");
+
+  // The compile line was admitted before the stats line was read, so the
+  // count is exact whichever of the two finished first.
+  const JsonValue* stats = frame_with_id(frames, "s1");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(str_field(*stats, "op"), "stats");
+  for (const char* key :
+       {"requests", "cache_hits", "cache_misses", "batches",
+        "batched_requests", "verified", "refuted", "verify_unknown",
+        "beam_requests", "mcts_requests", "search_improved",
+        "search_deadline_hits", "shed", "partials"}) {
+    EXPECT_TRUE(has_field(*stats, key)) << key;
+  }
+  EXPECT_EQ(as_object(*stats).at("requests").as_number(), 1.0);
+
+  const JsonValue* old = frame_with_id(frames, "old");
+  ASSERT_NE(old, nullptr);
+  EXPECT_EQ(str_field(*old, "type"), "error");
+  EXPECT_EQ(error_code(*old), "unsupported_version");
+
+  // Unparseable JSON: the id cannot be recovered, the error is typed.
+  const JsonValue* garbled = frame_with_id(frames, "");
+  ASSERT_NE(garbled, nullptr);
+  EXPECT_EQ(error_code(*garbled), "bad_request");
+}
+
+TEST(StdioServeTest, HalfCloseAnswersEverythingInFlightThenCloses) {
+  // The accepted-connection cap does not apply: the handed-in connection
+  // is the only one, so a piped batch is answered in full.
+  qrc::net::ServerConfig net_config;
+  net_config.max_inflight_per_conn = 1;
+  StdioServer stdio(net_config);
+  std::vector<std::string> direct;
+  for (const int n : {2, 3, 4}) {
+    const Circuit circuit =
+        qrc::bench::make_benchmark(BenchmarkFamily::kVqe, n, 1);
+    direct.push_back(qrc::ir::to_qasm(
+        shared_model().compile(wire_roundtrip(circuit)).circuit));
+    stdio.send(compile_request("g" + std::to_string(n), circuit));
+  }
+  stdio.send(compile_request(
+      "s1", qrc::bench::make_benchmark(BenchmarkFamily::kGhz, 4, 1),
+      ",\"search\":\"beam:4\",\"deadline_ms\":200"));
+
+  // finish() returns only once the server has closed the connection.
+  const auto frames = stdio.finish();
+  int partials = 0;
+  for (const JsonValue& frame : frames) {
+    partials += str_field(frame, "type") == "partial" ? 1 : 0;
+  }
+  EXPECT_EQ(frames.size() - static_cast<std::size_t>(partials), 4u);
+  EXPECT_GE(partials, 1);  // search requests stream on stdio too
+  for (const int n : {2, 3, 4}) {
+    const JsonValue* frame = frame_with_id(frames, "g" + std::to_string(n));
+    ASSERT_NE(frame, nullptr);
+    ASSERT_EQ(str_field(*frame, "type"), "result") << frame->dump();
+    EXPECT_EQ(str_field(*frame, "qasm"),
+              direct[static_cast<std::size_t>(n - 2)]);
+  }
+  const JsonValue* searched = frame_with_id(frames, "s1");
+  ASSERT_NE(searched, nullptr);
+  EXPECT_EQ(str_field(*searched, "type"), "result") << searched->dump();
+  EXPECT_EQ(stdio.service.metrics().counter_value(
+                "qrc_shed_total", {{"reason", "conn_inflight"}}),
+            0u);
+  stdio.server.stop();
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "ir/qasm.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "net/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/compile_service.hpp"
@@ -404,14 +407,19 @@ TEST(ServiceTraceTest, LegacyStatsSnapshotStillAddsUp) {
   svc.registry().add("fidelity", shared_handle());
   (void)svc.submit("a", "fidelity", small_ghz()).get();
   (void)svc.submit("b", "fidelity", small_ghz()).get();  // cache hit
-  const auto stats = svc.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_requests, 1u);
-  EXPECT_EQ(stats.max_batch_size, 1);
-  // The registry agrees with the legacy snapshot field for field.
+  // The stats table (what op:stats, /statusz and the serve exit summary
+  // render) adds up...
+  std::map<std::string_view, std::uint64_t> stats;
+  for (const auto& [key, value] : qrc::net::read_stats(svc.metrics())) {
+    stats[key] = value;
+  }
+  EXPECT_EQ(stats.at("requests"), 2u);
+  EXPECT_EQ(stats.at("cache_hits"), 1u);
+  EXPECT_EQ(stats.at("cache_misses"), 1u);
+  EXPECT_EQ(stats.at("batches"), 1u);
+  EXPECT_EQ(stats.at("batched_requests"), 1u);
+  EXPECT_EQ(stats.at("max_batch_size"), 1u);
+  // ...and agrees with the registry field for field.
   EXPECT_EQ(svc.metrics().counter_value("qrc_requests_total",
                                         {{"model", "fidelity"}}),
             2u);
@@ -547,7 +555,8 @@ TEST(NetObsTest, HttpMetricsListenerServesLabeledFamilies) {
   EXPECT_NE(response.find("qrc_verify_verdicts_total{method="),
             std::string::npos);
   EXPECT_NE(response.find("qrc_net_connections_active"), std::string::npos);
-  EXPECT_GE(ts.server.stats().accepted, 1u);
+  EXPECT_GE(ts.service.metrics().counter_value("qrc_net_accepted_total"),
+            1u);
 
   // Unknown paths get a 404 without wedging the listener.
   const qrc::net::Socket sock2 =

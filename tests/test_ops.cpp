@@ -297,6 +297,9 @@ TEST(OpsEndpointsTest, AllFourEndpointsAnswerOnALiveServer) {
             std::string::npos);
   EXPECT_NE(status_body.find("uptime_s: "), std::string::npos);
   EXPECT_NE(status_body.find("models: fidelity"), std::string::npos);
+  // The counter rows are the stats table, first row to last.
+  EXPECT_NE(status_body.find("\nrequests: "), std::string::npos);
+  EXPECT_NE(status_body.find("\nshed_inflight: "), std::string::npos);
   EXPECT_NE(status_body.find("flight recorder"), std::string::npos);
 
   const std::string debug = http_get(port, "/debugz");

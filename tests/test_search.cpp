@@ -281,34 +281,40 @@ TEST(SearchServiceTest, SearchConfigsGetTheirOwnCacheEntries) {
                         .get();
   EXPECT_FALSE(mcts.cached);
 
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.beam_requests, 3u);
-  EXPECT_EQ(stats.mcts_requests, 1u);
-  EXPECT_EQ(stats.cache_hits, 2u);
+  const auto& metrics = service.metrics();
+  EXPECT_EQ(metrics.counter_value("qrc_search_requests_total",
+                                  {{"strategy", "beam"}}),
+            3u);
+  EXPECT_EQ(metrics.counter_value("qrc_search_requests_total",
+                                  {{"strategy", "mcts"}}),
+            1u);
+  EXPECT_EQ(metrics.counter_value("qrc_cache_hits_total"), 2u);
 }
 
 TEST(SearchServiceTest, JsonlRoundTripCarriesSearchFields) {
   const auto request = qrc::service::parse_serve_request(
-      R"({"id": "s1", "qasm": "x", "search": "mcts:64", "deadline_ms": 250})");
+      R"({"v": 1, "id": "s1", "qasm": "x", "search": "mcts:64",
+          "deadline_ms": 250})");
   ASSERT_TRUE(request.search.has_value());
   EXPECT_EQ(request.search->strategy, Strategy::kMcts);
   EXPECT_EQ(request.search->simulations, 64);
   EXPECT_EQ(request.search->deadline_ms, 250);
 
-  EXPECT_FALSE(qrc::service::parse_serve_request(R"({"qasm": "x"})")
+  EXPECT_FALSE(qrc::service::parse_serve_request(R"({"v": 1, "qasm": "x"})")
                    .search.has_value());
   // Malformed search configs are request errors, not silent greedy runs.
   EXPECT_THROW((void)qrc::service::parse_serve_request(
-                   R"({"qasm": "x", "search": "dfs:2"})"),
+                   R"({"v": 1, "qasm": "x", "search": "dfs:2"})"),
                std::runtime_error);
   EXPECT_THROW((void)qrc::service::parse_serve_request(
-                   R"({"qasm": "x", "search": 8})"),
+                   R"({"v": 1, "qasm": "x", "search": 8})"),
                std::runtime_error);
   EXPECT_THROW((void)qrc::service::parse_serve_request(
-                   R"({"qasm": "x", "deadline_ms": 10})"),
+                   R"({"v": 1, "qasm": "x", "deadline_ms": 10})"),
                std::runtime_error);  // deadline without search
   EXPECT_THROW((void)qrc::service::parse_serve_request(
-                   R"({"qasm": "x", "search": "beam:2", "deadline_ms": 0})"),
+                   R"({"v": 1, "qasm": "x", "search": "beam:2",
+                       "deadline_ms": 0})"),
                std::runtime_error);
 
   CompileService service{ServiceConfig{}};

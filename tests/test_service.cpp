@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "core/predictor.hpp"
 #include "ir/qasm.hpp"
+#include "obs/metrics.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
 #include "service/model_registry.hpp"
@@ -27,10 +29,12 @@ using qrc::core::Predictor;
 using qrc::ir::Circuit;
 using qrc::reward::RewardKind;
 using qrc::service::CompileService;
+using qrc::service::ErrorCode;
 using qrc::service::JsonValue;
 using qrc::service::ModelRegistry;
 using qrc::service::ResultCache;
 using qrc::service::ServiceConfig;
+using qrc::service::ServiceError;
 using qrc::service::ServiceResponse;
 
 Circuit small_ghz() {
@@ -87,22 +91,23 @@ CompilationResult dummy_result(double reward) {
 // ------------------------------------------------------------- the cache --
 
 TEST(ResultCacheTest, HitMissAndRecencyCounters) {
-  ResultCache cache(2);
+  qrc::obs::MetricsRegistry registry;
+  ResultCache cache(2, registry);
   EXPECT_TRUE(cache.enabled());
   EXPECT_FALSE(cache.get("a").has_value());
   cache.put("a", dummy_result(0.1));
   const auto hit = cache.get("a");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->reward, 0.1);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(registry.counter_value("qrc_cache_hits_total"), 1u);
+  EXPECT_EQ(registry.counter_value("qrc_cache_misses_total"), 1u);
+  EXPECT_EQ(registry.counter_value("qrc_cache_insertions_total"), 1u);
+  EXPECT_EQ(registry.counter_value("qrc_cache_evictions_total"), 0u);
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsed) {
-  ResultCache cache(2);
+  qrc::obs::MetricsRegistry registry;
+  ResultCache cache(2, registry);
   cache.put("a", dummy_result(0.1));
   cache.put("b", dummy_result(0.2));
   ASSERT_TRUE(cache.get("a").has_value());  // refresh "a"; "b" is now LRU
@@ -111,22 +116,25 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_FALSE(cache.get("b").has_value());
   EXPECT_TRUE(cache.get("c").has_value());
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(registry.counter_value("qrc_cache_evictions_total"), 1u);
 }
 
 TEST(ResultCacheTest, ReinsertRefreshesInsteadOfDuplicating) {
-  ResultCache cache(2);
+  qrc::obs::MetricsRegistry registry;
+  ResultCache cache(2, registry);
   cache.put("a", dummy_result(0.1));
   cache.put("b", dummy_result(0.2));
   cache.put("a", dummy_result(0.1));  // refresh: "b" becomes LRU
   cache.put("c", dummy_result(0.3));
   EXPECT_TRUE(cache.get("a").has_value());
   EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_EQ(cache.stats().insertions, 3u);  // a, b, c; the refresh is not one
+  // a, b, c; the refresh is not one
+  EXPECT_EQ(registry.counter_value("qrc_cache_insertions_total"), 3u);
 }
 
 TEST(ResultCacheTest, ZeroCapacityDisables) {
-  ResultCache cache(0);
+  qrc::obs::MetricsRegistry registry;
+  ResultCache cache(0, registry);
   EXPECT_FALSE(cache.enabled());
   cache.put("a", dummy_result(0.1));
   EXPECT_FALSE(cache.get("a").has_value());
@@ -159,7 +167,7 @@ TEST(ModelRegistryTest, RejectsDuplicatesEmptyNamesAndUntrainedModels) {
 
 TEST(JsonlTest, ParsesRequestLines) {
   const auto r = qrc::service::parse_serve_request(
-      R"({"id": "r1", "model": "fid", "qasm": "qreg q[1];\nh q[0];"})");
+      R"({"v": 1, "id": "r1", "model": "fid", "qasm": "qreg q[1];\nh q[0];"})");
   EXPECT_EQ(r.id, "r1");
   EXPECT_EQ(r.model, "fid");
   EXPECT_EQ(r.qasm, "qreg q[1];\nh q[0];");
@@ -167,7 +175,7 @@ TEST(JsonlTest, ParsesRequestLines) {
 
 TEST(JsonlTest, NumericIdsAndOmittedFieldsAreTolerated) {
   const auto r =
-      qrc::service::parse_serve_request(R"({"id": 7, "qasm": "x"})");
+      qrc::service::parse_serve_request(R"({"v": 1, "id": 7, "qasm": "x"})");
   EXPECT_EQ(r.id, "7");
   EXPECT_EQ(r.model, "");  // -> service default model
 }
@@ -177,14 +185,15 @@ TEST(JsonlTest, RejectsMalformedRequests) {
                std::runtime_error);
   EXPECT_THROW((void)qrc::service::parse_serve_request(R"(["array"])"),
                std::runtime_error);
-  EXPECT_THROW((void)qrc::service::parse_serve_request(R"({"id":"x"})"),
-               std::runtime_error);  // missing qasm
   EXPECT_THROW(
-      (void)qrc::service::parse_serve_request(R"({"qasm": 42})"),
+      (void)qrc::service::parse_serve_request(R"({"v":1,"id":"x"})"),
+      std::runtime_error);  // missing qasm
+  EXPECT_THROW(
+      (void)qrc::service::parse_serve_request(R"({"v": 1, "qasm": 42})"),
       std::runtime_error);  // mistyped qasm
-  EXPECT_THROW(
-      (void)qrc::service::parse_serve_request(R"({"qasm":"x"} trailing)"),
-      std::runtime_error);
+  EXPECT_THROW((void)qrc::service::parse_serve_request(
+                   R"({"v":1,"qasm":"x"} trailing)"),
+               std::runtime_error);
 }
 
 TEST(JsonlTest, ValueParserHandlesEscapesNestingAndCanonicalDump) {
@@ -212,28 +221,28 @@ TEST(JsonlTest, RejectsUnknownRequestFields) {
   // unverified compilation.
   try {
     (void)qrc::service::parse_serve_request(
-        R"({"qasm": "x", "verifi": true})");
+        R"({"v": 1, "qasm": "x", "verifi": true})");
     FAIL() << "unknown field accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("verifi"), std::string::npos)
         << e.what();
   }
   EXPECT_THROW((void)qrc::service::parse_serve_request(
-                   R"({"qasm": "x", "Model": "m"})"),
+                   R"({"v": 1, "qasm": "x", "Model": "m"})"),
                std::runtime_error);  // wrong case is unknown too
 }
 
 TEST(JsonlTest, ParsesTheVerifyFlag) {
   EXPECT_FALSE(
-      qrc::service::parse_serve_request(R"({"qasm": "x"})").verify);
+      qrc::service::parse_serve_request(R"({"v": 1, "qasm": "x"})").verify);
   EXPECT_TRUE(qrc::service::parse_serve_request(
-                  R"({"qasm": "x", "verify": true})")
+                  R"({"v": 1, "qasm": "x", "verify": true})")
                   .verify);
   EXPECT_FALSE(qrc::service::parse_serve_request(
-                   R"({"qasm": "x", "verify": false})")
+                   R"({"v": 1, "qasm": "x", "verify": false})")
                    .verify);
   EXPECT_THROW((void)qrc::service::parse_serve_request(
-                   R"({"qasm": "x", "verify": "yes"})"),
+                   R"({"v": 1, "qasm": "x", "verify": "yes"})"),
                std::runtime_error);
 }
 
@@ -303,9 +312,11 @@ TEST(JsonlTest, ResponseAndErrorLinesAreValidJson) {
   EXPECT_TRUE(qrc::ir::from_qasm(obj.at("qasm").as_string()) ==
               response.result.circuit);
 
-  const auto err =
-      JsonValue::parse(qrc::service::serve_error_line("r2", "bad\nthing"));
-  EXPECT_EQ(err.as_object().at("error").as_string(), "bad\nthing");
+  const auto err = JsonValue::parse(qrc::service::serve_error_line(
+      "r2", ErrorCode::kBadRequest, "bad\nthing"));
+  EXPECT_EQ(
+      err.as_object().at("error").as_object().at("message").as_string(),
+      "bad\nthing");
 }
 
 // ---------------------------------------------------------- the service ---
@@ -380,18 +391,25 @@ TEST(CompileServiceTest, ConcurrentSubmissionsMatchDirectCompileExactly) {
         suite[static_cast<std::size_t>(order[i])].name());
   }
 
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, order.size());
+  const auto& metrics = service.metrics();
+  const auto requests = metrics.counter_total("qrc_requests_total");
+  const auto misses = metrics.counter_value("qrc_cache_misses_total");
+  const auto batched = metrics.counter_value("qrc_batched_requests_total");
+  EXPECT_EQ(requests, order.size());
   // Every miss is queued exactly once; batches partition the misses.
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.requests);
-  EXPECT_EQ(stats.batched_requests, stats.cache_misses);
+  EXPECT_EQ(metrics.counter_value("qrc_cache_hits_total") + misses,
+            requests);
+  EXPECT_EQ(batched, misses);
   std::uint64_t histogram_total = 0;
-  for (const auto& [size, count] : stats.batch_size_histogram) {
+  for (const auto& [labels, count] :
+       metrics.counter_series("qrc_batches_by_size_total")) {
+    ASSERT_EQ(labels.size(), 1u);
+    const int size = std::stoi(labels.front().second);
     EXPECT_GE(size, 1);
     EXPECT_LE(size, config.max_batch);
     histogram_total += static_cast<std::uint64_t>(size) * count;
   }
-  EXPECT_EQ(histogram_total, stats.batched_requests);
+  EXPECT_EQ(histogram_total, batched);
 }
 
 TEST(CompileServiceTest, RepeatRequestIsServedFromTheCache) {
@@ -410,9 +428,8 @@ TEST(CompileServiceTest, RepeatRequestIsServedFromTheCache) {
   renamed.set_name("anonymous");
   EXPECT_TRUE(service.compile("fidelity", renamed).cached);
 
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(service.metrics().counter_total("qrc_requests_total"), 3u);
+  EXPECT_EQ(service.metrics().counter_value("qrc_cache_hits_total"), 2u);
 }
 
 TEST(CompileServiceTest, VerifyFlagGatesAndMatchesDirectPredictor) {
@@ -455,10 +472,21 @@ TEST(CompileServiceTest, VerifyFlagGatesAndMatchesDirectPredictor) {
             direct_verdict.confidence);
 
   // Counters: both verifying services saw only equivalent verdicts.
-  EXPECT_EQ(service.stats().verified, 1u);
-  EXPECT_EQ(service.stats().refuted, 0u);
-  EXPECT_EQ(fresh.stats().verified, 1u);
-  EXPECT_EQ(fresh.stats().verify_unknown, 0u);
+  const auto verdicts = [](const CompileService& svc,
+                           const std::string& verdict) {
+    std::uint64_t total = 0;
+    for (const auto& [labels, count] :
+         svc.metrics().counter_series("qrc_verify_verdicts_total")) {
+      for (const auto& [key, value] : labels) {
+        total += key == "verdict" && value == verdict ? count : 0;
+      }
+    }
+    return total;
+  };
+  EXPECT_EQ(verdicts(service, "equivalent"), 1u);
+  EXPECT_EQ(verdicts(service, "not_equivalent"), 0u);
+  EXPECT_EQ(verdicts(fresh, "equivalent"), 1u);
+  EXPECT_EQ(verdicts(fresh, "unknown"), 0u);
 }
 
 TEST(CompileServiceTest, CacheIsKeyedPerModel) {
@@ -493,11 +521,60 @@ TEST(CompileServiceTest, FusesConcurrentRequestsIntoOneBatch) {
   for (auto& f : futures) {
     (void)f.get();
   }
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.max_batch_size, 4);
-  EXPECT_EQ(stats.batch_size_histogram.at(4), 1u);
+  const auto& metrics = service.metrics();
+  EXPECT_EQ(metrics.counter_total("qrc_requests_total"), 4u);
+  EXPECT_EQ(metrics.counter_value("qrc_batches_total"), 1u);
+  EXPECT_EQ(metrics.gauge_value("qrc_batch_size_max"), 4);
+  EXPECT_EQ(metrics.counter_value("qrc_batches_by_size_total",
+                                  {{"size", "4"}}),
+            1u);
+}
+
+TEST(CompileServiceTest, OverWideCircuitIsRefusedWithoutFailingItsBatch) {
+  // A circuit wider than every library device can never compile. It must
+  // be refused on its own, before it joins a batch: a failed rollout
+  // fails every request it was fused with.
+  ServiceConfig config;
+  config.max_batch = 3;
+  config.max_wait_us = 200'000;  // the three submits share one window
+  config.cache_entries = 0;
+  CompileService service(config);
+  service.registry().add("fidelity", shared_handle());
+
+  const auto suite = small_suite();
+  Circuit wide(128, "wide128");
+  wide.h(0);
+  wide.cx(0, 127);
+
+  auto first = service.submit("a", "fidelity", suite[1]);
+  std::optional<ErrorCode> wide_code;
+  std::future<ServiceResponse> wide_future;
+  try {
+    wide_future = service.submit("wide", "fidelity", wide);
+  } catch (const ServiceError& e) {
+    wide_code = e.code();
+    EXPECT_NE(std::string(e.what()).find("128"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("127"), std::string::npos)
+        << e.what();
+  }
+  auto second = service.submit("b", "fidelity", suite[3]);
+  EXPECT_EQ(wide_code, ErrorCode::kBadRequest);
+
+  for (auto* future : {&first, &second}) {
+    try {
+      const ServiceResponse response = future->get();
+      expect_same_result(response.result,
+                         shared_model().compile(
+                             suite[response.id == "a" ? 1u : 3u]),
+                         response.id);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "valid request failed: " << e.what();
+    }
+  }
+  if (wide_future.valid()) {
+    EXPECT_THROW((void)wide_future.get(), std::exception);
+  }
 }
 
 TEST(CompileServiceTest, ModelsAreHotAddableAndUnknownModelsAreRejected) {

@@ -35,38 +35,34 @@
 //   qrc serve --model <name>=<model.txt> [--model <name2>=<m2.txt> ...]
 //             [--default-model <name>] [--max-batch N] [--max-wait-us N]
 //             [--cache-entries N] [--max-lane-queue N]
-//             [--listen HOST:PORT] [--max-frame-bytes N]
-//             [--max-inflight N] [--max-connections N]
-//             [--poller auto|epoll|poll]
-//             [--metrics-listen HOST:PORT] [--profile-hz N]
-//       Long-lived compile server speaking line-delimited JSON over
-//       stdin/stdout: {"id","model","qasm","verify","search",
-//       "deadline_ms"} in, {"id","model","qasm","reward","device",
-//       "used_fallback","cached","latency_us"} out — plus
-//       "verdict"/"verify_method"/"verify_confidence" when the request
-//       set "verify": true, and "search"/"search_nodes"/
-//       "search_improved"/"search_deadline_hit"/"search_reward_delta"
-//       when it set "search" (or {"id","error"}). Requests arriving
-//       within the batch window are fused into one batched policy rollout
-//       per model ("search" requests run the lookahead engine instead);
-//       repeat circuits are served from an LRU result cache keyed on
-//       model + search config + content. Diagnostics go to stderr,
-//       stdout stays pure JSONL.
-//       With --listen the same protocol is served over TCP instead: a
-//       non-blocking event loop multiplexes many connections, v1
-//       envelopes ({"v":1,"op":"compile"|"stats"|"ping",...}) get typed
-//       responses and streamed "partial" frames for deadline-bounded
-//       searches, and overload is shed with typed "overloaded" errors
-//       (--max-lane-queue bounds each model lane, --max-inflight each
-//       connection). SIGINT/SIGTERM drain gracefully: stop accepting,
-//       answer everything in flight, flush, exit; SIGQUIT dumps the
-//       flight recorder (recent sheds/errors/refutations) to stderr.
+//             [--listen HOST:PORT [--max-inflight N] [--max-connections N]]
+//             [--max-frame-bytes N] [--metrics-listen HOST:PORT]
+//             [--profile-hz N]
+//       Long-lived compile server speaking the line-delimited JSON serve
+//       protocol v1: one {"v":1,"op":"compile"|"stats"|"ping"|"metrics"|
+//       "debug_dump"|"profile","id",...} envelope per line in, typed
+//       "result"/"partial"/"error" frames out, in completion order and
+//       correlated by "id". Requests arriving within the batch window are
+//       fused into one batched policy rollout per model; "search"
+//       requests run the lookahead engine instead and stream "partial"
+//       frames. Repeat circuits are served from an LRU result cache keyed
+//       on model + search config + content; overload is shed with typed
+//       "overloaded" errors (--max-lane-queue bounds each model lane).
+//       Without --listen the one connection is stdin/stdout, and the
+//       server exits after answering the last request. With --listen it
+//       accepts TCP connections instead (--max-inflight caps each one's
+//       unanswered compiles, --max-connections their number);
+//       SIGINT/SIGTERM drain gracefully: stop accepting, answer
+//       everything in flight, flush, exit; SIGQUIT dumps the flight
+//       recorder (recent sheds/errors/refutations) to stderr.
 //       --metrics-listen binds a second HTTP listener answering
 //       GET /metrics (Prometheus exposition), /healthz, /readyz,
 //       /statusz, /debugz and /profilez?seconds=N&hz=H (on-demand
 //       sampling session, folded stacks in the response body).
 //       --profile-hz samples the whole serve lifetime instead and dumps
-//       the folded stacks to stderr at shutdown.
+//       the folded stacks to stderr at shutdown. The exit summary (the
+//       stats table) goes to stderr; the exit code is 1 iff verification
+//       refuted a compiled circuit.
 //
 //   Every subcommand honours QRC_LOG=debug|info|warn|error|off and
 //   QRC_LOG_JSON=1; train and serve also take --log-level/--log-json.
@@ -80,16 +76,13 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
+#include <exception>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -102,6 +95,7 @@
 #include "ir/qasm.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "net/stats.hpp"
 #include "obs/build_info.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
@@ -113,7 +107,6 @@
 #include "rl/mlp.hpp"
 #include "search/search.hpp"
 #include "service/compile_service.hpp"
-#include "service/jsonl.hpp"
 
 namespace {
 
@@ -137,9 +130,9 @@ int usage() {
       "  qrc serve --model <name>=<model.txt> [--model <n2>=<m2.txt> ...]\n"
       "            [--default-model <name>] [--max-batch N]\n"
       "            [--max-wait-us N] [--cache-entries N]\n"
-      "            [--max-lane-queue N] [--listen HOST:PORT]\n"
-      "            [--max-frame-bytes N] [--max-inflight N]\n"
-      "            [--max-connections N] [--poller auto|epoll|poll]\n"
+      "            [--max-lane-queue N]\n"
+      "            [--listen HOST:PORT [--max-inflight N]\n"
+      "             [--max-connections N]] [--max-frame-bytes N]\n"
       "            [--metrics-listen HOST:PORT] [--profile-hz N]\n"
       "            [--log-level L] [--log-json]\n"
       "  qrc client HOST:PORT\n"
@@ -596,13 +589,6 @@ int cmd_verify(int argc, char** argv) try {
   return 2;
 }
 
-/// One in-flight serve request: the id (kept for error reporting) and the
-/// service future. Responses are written back in submission order.
-struct Inflight {
-  std::string id;
-  std::future<service::ServiceResponse> future;
-};
-
 /// Drain target for the SIGINT/SIGTERM handlers while `qrc serve
 /// --listen` is up. Written once before the handlers are installed.
 net::Server* g_listen_server = nullptr;
@@ -613,82 +599,58 @@ extern "C" void handle_drain_signal(int) {
   }
 }
 
-/// Serves the wire protocol over TCP until a drain signal lands.
-int serve_listen(service::CompileService& svc, const std::string& spec,
-                 const ParsedArgs& args) {
-  net::ServerConfig config;
-  std::tie(config.host, config.port) = net::parse_host_port(spec);
-  config.max_frame_bytes = static_cast<std::size_t>(
-      std::max(1, args.get_int("max-frame-bytes",
-                               static_cast<int>(config.max_frame_bytes))));
-  config.max_inflight_per_conn = static_cast<std::size_t>(
-      std::max(1, args.get_int("max-inflight", 32)));
-  config.max_connections = static_cast<std::size_t>(
-      std::max(1, args.get_int("max-connections", 256)));
-  if (const std::string* metrics = args.single("metrics-listen")) {
-    std::tie(config.metrics_host, config.metrics_port) =
-        net::parse_host_port(*metrics);
-  }
-  if (const std::string* poller = args.single("poller")) {
-    if (*poller == "auto") {
-      config.poller = net::PollerKind::kAuto;
-    } else if (*poller == "epoll") {
-      config.poller = net::PollerKind::kEpoll;
-    } else if (*poller == "poll") {
-      config.poller = net::PollerKind::kPoll;
-    } else {
-      throw std::runtime_error("--poller expects auto|epoll|poll, got '" +
-                               *poller + "'");
+/// Counts from one pump_stdio() run.
+struct PumpCounts {
+  std::uint64_t sent = 0;
+  std::uint64_t frames = 0;
+  std::uint64_t partials = 0;
+};
+
+/// Pipelines request lines from stdin to the stream socket `fd` without
+/// waiting for answers, and prints every frame that comes back (partials
+/// included) to stdout as it arrives. Half-closes `fd` at stdin EOF, so
+/// the server answers what is in flight and then hangs up; returns after
+/// the hang-up.
+/// \throws std::runtime_error when either direction of `fd` fails.
+PumpCounts pump_stdio(int fd) {
+  PumpCounts counts;
+  std::exception_ptr read_error;
+  std::thread printer([&] {
+    try {
+      net::LineReader reader(fd);
+      while (const auto line = reader.next_line()) {
+        std::fputs(line->c_str(), stdout);
+        std::fputc('\n', stdout);
+        std::fflush(stdout);
+        ++counts.frames;
+        if (line->find("\"type\":\"partial\"") != std::string::npos) {
+          ++counts.partials;
+        }
+      }
+    } catch (...) {
+      read_error = std::current_exception();
     }
+  });
+  try {
+    std::string line;
+    while (std::getline(std::cin, line)) {
+      if (line.find_first_not_of(" \t\r") == std::string::npos) {
+        continue;  // blank lines are allowed between requests
+      }
+      net::send_all(fd, line + "\n");
+      ++counts.sent;
+    }
+  } catch (...) {
+    ::shutdown(fd, SHUT_RDWR);  // ends the printer's read so it can join
+    printer.join();
+    throw;
   }
-
-  net::Server server(svc, config);
-  server.start();
-  g_listen_server = &server;
-  std::signal(SIGINT, handle_drain_signal);
-  std::signal(SIGTERM, handle_drain_signal);
-  obs::install_sigquit_dump(2);  // SIGQUIT dumps the flight recorder
-  auto& log = obs::Logger::instance();
-  log.logf(obs::LogLevel::kInfo, "serve",
-           "listening on %s:%d (SIGINT/SIGTERM drains, SIGQUIT dumps "
-           "flight recorder)",
-           config.host.c_str(), server.port());
-  if (server.metrics_port() >= 0) {
-    log.logf(obs::LogLevel::kInfo, "serve",
-             "metrics on http://%s:%d/metrics (plus /healthz /readyz "
-             "/statusz /debugz)",
-             config.metrics_host.c_str(), server.metrics_port());
+  ::shutdown(fd, SHUT_WR);
+  printer.join();
+  if (read_error) {
+    std::rethrow_exception(read_error);
   }
-
-  server.join();  // exits after a signal-triggered graceful drain
-  g_listen_server = nullptr;
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGQUIT, SIG_DFL);
-
-  const auto net_stats = server.stats();
-  log.logf(obs::LogLevel::kInfo, "serve",
-           "connections: %llu accepted, %llu rejected at cap",
-           static_cast<unsigned long long>(net_stats.accepted),
-           static_cast<unsigned long long>(net_stats.rejected));
-  log.logf(obs::LogLevel::kInfo, "serve",
-           "frames: %llu in, %llu out (%llu partial, %llu error, "
-           "%llu oversized), %llu shed at the connection cap",
-           static_cast<unsigned long long>(net_stats.frames_in),
-           static_cast<unsigned long long>(net_stats.frames_out),
-           static_cast<unsigned long long>(net_stats.partial_frames),
-           static_cast<unsigned long long>(net_stats.error_frames),
-           static_cast<unsigned long long>(net_stats.oversized_frames),
-           static_cast<unsigned long long>(net_stats.shed_inflight));
-  const auto stats = svc.stats();
-  log.logf(obs::LogLevel::kInfo, "serve",
-           "served %llu request(s) in %llu batch(es), %llu shed at "
-           "lane bounds, %llu partial frame(s) streamed",
-           static_cast<unsigned long long>(stats.requests),
-           static_cast<unsigned long long>(stats.batches),
-           static_cast<unsigned long long>(stats.shed),
-           static_cast<unsigned long long>(stats.partials));
-  return stats.refuted > 0 ? 1 : 0;
+  return counts;
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -697,9 +659,8 @@ int cmd_serve(int argc, char** argv) {
                                 "max-wait-us", "cache-entries",
                                 "max-lane-queue", "listen",
                                 "max-frame-bytes", "max-inflight",
-                                "max-connections", "poller",
-                                "metrics-listen", "profile-hz",
-                                "log-level"},
+                                "max-connections", "metrics-listen",
+                                "profile-hz", "log-level"},
                                {"log-json"});
   expect_positionals(args, 0, "serve takes only flags");
   apply_log_flags(args);
@@ -752,6 +713,36 @@ int cmd_serve(int argc, char** argv) {
     return usage();
   }
 
+  // One front end: the same net::Server serves TCP connections with
+  // --listen, or else the single connection stdin/stdout, pumped over
+  // one end of a socketpair.
+  net::ServerConfig net_config;
+  const std::string* listen = args.single("listen");
+  if (listen != nullptr) {
+    std::tie(net_config.host, net_config.port) =
+        net::parse_host_port(*listen);
+    net_config.max_inflight_per_conn = static_cast<std::size_t>(
+        std::max(1, args.get_int("max-inflight", 32)));
+    net_config.max_connections = static_cast<std::size_t>(
+        std::max(1, args.get_int("max-connections", 256)));
+  } else {
+    net_config.port = -1;
+    for (const char* flag : {"max-inflight", "max-connections"}) {
+      if (args.single(flag) != nullptr) {
+        throw std::runtime_error(std::string("--") + flag +
+                                 " requires --listen (stdin/stdout is a "
+                                 "single connection)");
+      }
+    }
+  }
+  net_config.max_frame_bytes = static_cast<std::size_t>(
+      std::max(1, args.get_int("max-frame-bytes",
+                               static_cast<int>(net_config.max_frame_bytes))));
+  if (const std::string* metrics = args.single("metrics-listen")) {
+    std::tie(net_config.metrics_host, net_config.metrics_port) =
+        net::parse_host_port(*metrics);
+  }
+
   service::ServiceConfig config;
   config.max_batch = args.get_int("max-batch", 32);
   config.max_wait_us = args.get_int("max-wait-us", 2000);
@@ -792,114 +783,50 @@ int cmd_serve(int argc, char** argv) {
       static_cast<long long>(config.max_wait_us), config.cache_entries,
       config.max_lane_queue);
 
-  if (const std::string* listen = args.single("listen")) {
-    return serve_listen(svc, *listen, args);
+  net::Server server(svc, net_config);
+  net::Socket stdio_end;
+  if (listen == nullptr) {
+    auto [server_end, client_end] = net::socket_pair();
+    server.add_connection(std::move(server_end));
+    stdio_end = std::move(client_end);
   }
-  if (args.single("metrics-listen") != nullptr) {
-    throw std::runtime_error("--metrics-listen requires --listen");
-  }
-
-  // Reader (main thread) parses stdin and submits without waiting, so
-  // concurrent requests fuse into batches; the writer thread emits
-  // responses strictly in submission order.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Inflight> inflight;
-  bool done_reading = false;
-
-  std::thread writer([&] {
-    for (;;) {
-      Inflight item;
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] { return done_reading || !inflight.empty(); });
-        if (inflight.empty()) {
-          return;
-        }
-        item = std::move(inflight.front());
-        inflight.pop_front();
-      }
-      std::string line;
-      try {
-        line = service::serve_response_line(item.future.get());
-      } catch (const std::exception& e) {
-        line = service::serve_error_line(item.id, e.what());
-      }
-      std::fputs(line.c_str(), stdout);
-      std::fputc('\n', stdout);
-      std::fflush(stdout);
-    }
-  });
-
-  const auto enqueue = [&](Inflight item) {
-    {
-      std::lock_guard lock(mu);
-      inflight.push_back(std::move(item));
-    }
-    cv.notify_one();
-  };
-  const auto enqueue_error = [&](const std::string& id,
-                                 const std::string& message) {
-    std::promise<service::ServiceResponse> promise;
-    promise.set_exception(
-        std::make_exception_ptr(std::runtime_error(message)));
-    enqueue({id, promise.get_future()});
-  };
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;  // blank lines are allowed between requests
-    }
-    try {
-      service::ServeRequest request = service::parse_serve_request(line);
-      ir::Circuit circuit = ir::from_qasm(request.qasm);
-      enqueue({request.id,
-               svc.submit(request.id, request.model, std::move(circuit),
-                          request.verify, request.search)});
-    } catch (const std::exception& e) {
-      // Echo whatever id the line carried so clients can correlate the
-      // error even when validation failed.
-      enqueue_error(service::extract_request_id(line), e.what());
-    }
-  }
-  {
-    std::lock_guard lock(mu);
-    done_reading = true;
-  }
-  cv.notify_all();
-  writer.join();
-
-  const auto stats = svc.stats();
-  const double hit_rate =
-      stats.requests > 0
-          ? static_cast<double>(stats.cache_hits) /
-                static_cast<double>(stats.requests)
-          : 0.0;
+  server.start();
   auto& log = obs::Logger::instance();
-  log.logf(obs::LogLevel::kInfo, "serve",
-           "served %llu request(s) in %llu batch(es), cache hit rate "
-           "%.2f, largest batch %d, %llu shed at lane bounds, %llu "
-           "partial frame(s)",
-           static_cast<unsigned long long>(stats.requests),
-           static_cast<unsigned long long>(stats.batches), hit_rate,
-           stats.max_batch_size, static_cast<unsigned long long>(stats.shed),
-           static_cast<unsigned long long>(stats.partials));
-  log.logf(obs::LogLevel::kInfo, "serve",
-           "verification: %llu verified, %llu refuted, %llu undecided",
-           static_cast<unsigned long long>(stats.verified),
-           static_cast<unsigned long long>(stats.refuted),
-           static_cast<unsigned long long>(stats.verify_unknown));
-  if (stats.beam_requests + stats.mcts_requests > 0) {
+  if (server.metrics_port() >= 0) {
     log.logf(obs::LogLevel::kInfo, "serve",
-             "search: %llu beam, %llu mcts, %llu improved on greedy, "
-             "%llu deadline hit(s)",
-             static_cast<unsigned long long>(stats.beam_requests),
-             static_cast<unsigned long long>(stats.mcts_requests),
-             static_cast<unsigned long long>(stats.search_improved),
-             static_cast<unsigned long long>(stats.search_deadline_hits));
+             "metrics on http://%s:%d/metrics (plus /healthz /readyz "
+             "/statusz /debugz)",
+             net_config.metrics_host.c_str(), server.metrics_port());
   }
-  return stats.refuted > 0 ? 1 : 0;
+  if (listen != nullptr) {
+    g_listen_server = &server;
+    std::signal(SIGINT, handle_drain_signal);
+    std::signal(SIGTERM, handle_drain_signal);
+    obs::install_sigquit_dump(2);  // SIGQUIT dumps the flight recorder
+    log.logf(obs::LogLevel::kInfo, "serve",
+             "listening on %s:%d (SIGINT/SIGTERM drains, SIGQUIT dumps "
+             "flight recorder)",
+             net_config.host.c_str(), server.port());
+    server.join();  // exits after a signal-triggered graceful drain
+    g_listen_server = nullptr;
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+    std::signal(SIGQUIT, SIG_DFL);
+  } else {
+    (void)pump_stdio(stdio_end.fd());
+    server.stop();
+  }
+
+  std::string summary;
+  std::uint64_t refuted = 0;
+  for (const auto& [key, value] : net::read_stats(svc.metrics())) {
+    summary += ' ' + std::string(key) + '=' + std::to_string(value);
+    if (key == "refuted") {
+      refuted = value;
+    }
+  }
+  log.logf(obs::LogLevel::kInfo, "serve", "stats:%s", summary.c_str());
+  return refuted > 0 ? 1 : 0;
 }
 
 int cmd_client(int argc, char** argv) {
@@ -913,43 +840,13 @@ int cmd_client(int argc, char** argv) {
   obs::Logger::instance().logf(obs::LogLevel::kInfo, "client",
                                "connected to %s:%d", host.c_str(), port);
 
-  // Printer thread: every frame the server sends (results, partials,
-  // typed errors) goes straight to stdout in arrival order.
-  std::uint64_t frames = 0;
-  std::uint64_t partials = 0;
-  std::thread printer([&] {
-    net::LineReader reader(sock.fd());
-    while (const auto line = reader.next_line()) {
-      std::fputs(line->c_str(), stdout);
-      std::fputc('\n', stdout);
-      std::fflush(stdout);
-      ++frames;
-      if (line->find("\"type\":\"partial\"") != std::string::npos) {
-        ++partials;
-      }
-    }
-  });
-
-  // Pipeline stdin without waiting for responses; half-close the socket
-  // at EOF so the server answers what is in flight and then hangs up,
-  // which is the printer's (and our) exit signal.
-  std::string line;
-  std::uint64_t sent = 0;
-  while (std::getline(std::cin, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
-    }
-    net::send_all(sock.fd(), line + "\n");
-    ++sent;
-  }
-  ::shutdown(sock.fd(), SHUT_WR);
-  printer.join();
+  const PumpCounts counts = pump_stdio(sock.fd());
   obs::Logger::instance().logf(
       obs::LogLevel::kInfo, "client",
       "sent %llu request(s), received %llu frame(s) (%llu partial)",
-      static_cast<unsigned long long>(sent),
-      static_cast<unsigned long long>(frames),
-      static_cast<unsigned long long>(partials));
+      static_cast<unsigned long long>(counts.sent),
+      static_cast<unsigned long long>(counts.frames),
+      static_cast<unsigned long long>(counts.partials));
   return 0;
 }
 
