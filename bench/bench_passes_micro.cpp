@@ -85,7 +85,8 @@ BENCHMARK_CAPTURE(BM_SabreLayout, ionq_harmony,
 BENCHMARK_CAPTURE(BM_SabreLayout, ibmq_washington,
                   qrc::device::DeviceId::kIbmqWashington)
     ->Arg(5)
-    ->Arg(10);
+    ->Arg(10)
+    ->Arg(20);
 
 void BM_Optimize1q(benchmark::State& state) {
   const auto circuit = test_circuit(static_cast<int>(state.range(0)));
@@ -116,6 +117,21 @@ void BM_ConsolidateBlocks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConsolidateBlocks)->Arg(10)->Arg(20);
+
+/// TKET-style 2q peephole on the device's native gates, the form the
+/// corpus flow's fallback hands it.
+void BM_PeepholeOptimise2Q(benchmark::State& state) {
+  auto circuit = test_circuit(static_cast<int>(state.range(0)));
+  qrc::passes::PassContext ctx;
+  ctx.device = &washington();
+  (void)qrc::passes::BasisTranslator().run(circuit, ctx);
+  const qrc::passes::PeepholeOptimise2Q pass;
+  for (auto _ : state) {
+    auto copy = circuit;
+    benchmark::DoNotOptimize(pass.run(copy, ctx));
+  }
+}
+BENCHMARK(BM_PeepholeOptimise2Q)->Arg(10)->Arg(20);
 
 void BM_FullPeephole(benchmark::State& state) {
   const auto circuit = test_circuit(static_cast<int>(state.range(0)));

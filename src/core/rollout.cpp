@@ -111,7 +111,7 @@ std::vector<GreedyEpisode> run_greedy_episodes(
         CompilationEnv::step_seed(env_config.seed, 1, step);
     {
       obs::DetailTimer timer("env_step");
-      obs::PerfScope perf(obs::PerfKernel::kSearchExpand);
+      obs::PerfScope perf(obs::PerfKernel::kEnvStep);
       pool.parallel_for(static_cast<int>(stepping.size()), [&](int i) {
         auto& ep = episodes[static_cast<std::size_t>(
             stepping[static_cast<std::size_t>(i)])];

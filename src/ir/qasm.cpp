@@ -417,6 +417,14 @@ Circuit from_qasm(const std::string& text) {
         ++name_end;
       }
       std::string name = stmt.substr(0, name_end);
+      if (name == "opaque") {
+        throw std::runtime_error(
+            "unsupported construct: 'opaque' gate declarations");
+      }
+      if (name == "if") {
+        throw std::runtime_error(
+            "unsupported construct: classically controlled 'if' statements");
+      }
       std::size_t rest_begin = name_end;
       std::vector<double> params;
       if (rest_begin < stmt.size() && stmt[rest_begin] == '(') {

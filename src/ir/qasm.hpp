@@ -19,7 +19,9 @@ namespace qrc::ir {
 /// Parameter expressions may use numbers (including scientific notation,
 /// e.g. 2.5e-2), "pi", unary plus/minus, + - * / and parentheses.
 /// Register sizes and qubit indices are capped at 1,000,000 (declarations
-/// beyond that are rejected rather than allocated).
+/// beyond that are rejected rather than allocated). `opaque` declarations
+/// and classically controlled `if` statements are rejected with an error
+/// that names them as unsupported.
 /// \throws std::runtime_error on malformed input, with the source line and
 ///         offending statement in the message.
 [[nodiscard]] Circuit from_qasm(const std::string& text);

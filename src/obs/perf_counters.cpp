@@ -132,6 +132,8 @@ std::string_view perf_kernel_name(PerfKernel kernel) {
       return "verify_miter";
     case PerfKernel::kVerifyStimuli:
       return "verify_stimuli";
+    case PerfKernel::kEnvStep:
+      return "env_step";
     case PerfKernel::kCount:
       break;
   }

@@ -20,7 +20,7 @@ namespace qrc::obs {
 
 class MetricsRegistry;
 
-/// The instrumented kernels: the three dominant compute loops plus the
+/// The instrumented kernels: the four dominant compute loops plus the
 /// three verifier tiers.
 enum class PerfKernel : std::uint8_t {
   kMlpForward = 0,     ///< policy MLP forward_batch (rollout + search leaves)
@@ -29,7 +29,8 @@ enum class PerfKernel : std::uint8_t {
   kVerifyClifford = 3, ///< verify tier 1: Clifford/Pauli-flow
   kVerifyMiter = 4,    ///< verify tier 2: alternating miter
   kVerifyStimuli = 5,  ///< verify tier 3: random stimuli
-  kCount = 6,
+  kEnvStep = 6,        ///< greedy rollout stepping: one pass per episode
+  kCount = 7,
 };
 
 [[nodiscard]] std::string_view perf_kernel_name(PerfKernel kernel);

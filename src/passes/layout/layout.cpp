@@ -7,7 +7,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "passes/routing/routing.hpp"
+#include "passes/routing/sabre.hpp"
 
 namespace qrc::passes {
 
@@ -151,7 +151,8 @@ bool interactions_coupled(const Circuit& circuit,
 
 /// SABRE layout: start from a seeded random placement, refine by routing
 /// forward and backward; the placement surviving the iterations becomes
-/// the initial layout.
+/// the initial layout. Refinement needs only where the swaps move the
+/// logical qubits, so it runs the swap search without emitting gates.
 std::vector<int> sabre_layout(const Circuit& original,
                               const device::Device& device,
                               std::uint64_t seed) {
@@ -186,24 +187,20 @@ std::vector<int> sabre_layout(const Circuit& original,
     }
   }
 
-  const Circuit& forward = circuit;
+  // The shuffle is the start placement: slot l holds logical l at
+  // layout[l], the idle physical qubits fill the remaining slots. Each
+  // search leaves the placement where its swaps took the logical qubits,
+  // which is where the next search starts.
   const Circuit reversed = circuit.inverse();
+  const SabreDag forward_dag(circuit);
+  const SabreDag reversed_dag(reversed);
   constexpr int kIterations = 3;
   for (int iter = 0; iter < kIterations; ++iter) {
-    for (const Circuit* dir : {&forward, &reversed}) {
-      const Circuit placed = apply_layout(*dir, layout, device);
-      const RoutingOutcome outcome =
-          route(RoutingKind::kSabreSwap, placed, device,
-                seed + static_cast<std::uint64_t>(iter));
-      // New layout: where each logical ended up.
-      for (int l = 0; l < n; ++l) {
-        layout[static_cast<std::size_t>(l)] =
-            outcome.permutation[static_cast<std::size_t>(
-                layout[static_cast<std::size_t>(l)])];
-      }
-    }
+    (void)sabre_search(circuit, forward_dag, device, phys, nullptr);
+    (void)sabre_search(reversed, reversed_dag, device, phys, nullptr);
   }
-  return layout;
+  phys.resize(static_cast<std::size_t>(n));
+  return phys;
 }
 
 }  // namespace

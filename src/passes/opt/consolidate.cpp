@@ -1,6 +1,11 @@
 #include "passes/opt/consolidate.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "passes/blocks.hpp"
@@ -13,9 +18,48 @@ namespace {
 using ir::Circuit;
 using ir::Operation;
 
+/// decompose_two_qubit_unitary results for the length of one pass run,
+/// keyed on the exact bits of the block unitary. The decomposition is
+/// pure, so a hit is exactly what a fresh call returns. Identical blocks
+/// repeat within a circuit, and every block a sweep leaves unchanged comes
+/// back in the next sweep.
+class ResynthMemo {
+ public:
+  const std::optional<Circuit>& decompose(const la::Mat4& u) {
+    Key key;
+    for (int i = 0; i < 16; ++i) {
+      const la::cplx z = u(i / 4, i % 4);
+      key[static_cast<std::size_t>(2 * i)] =
+          std::bit_cast<std::uint64_t>(z.real());
+      key[static_cast<std::size_t>(2 * i + 1)] =
+          std::bit_cast<std::uint64_t>(z.imag());
+    }
+    const auto hit = results_.find(key);
+    if (hit != results_.end()) {
+      return hit->second;
+    }
+    return results_.emplace(key, decompose_two_qubit_unitary(u))
+        .first->second;
+  }
+
+ private:
+  using Key = std::array<std::uint64_t, 32>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const {
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const std::uint64_t word : key) {
+        h = (h ^ word) * 0x100000001b3ULL;
+      }
+      return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+  };
+  std::unordered_map<Key, std::optional<Circuit>, KeyHash> results_;
+};
+
 /// One consolidation sweep over the 2q blocks of `circuit`;
 /// `min_two_qubit` selects which blocks are attacked.
-bool consolidate_once(Circuit& circuit, int min_two_qubit) {
+bool consolidate_once(Circuit& circuit, int min_two_qubit,
+                      ResynthMemo& memo) {
   const auto blocks = collect_2q_blocks(circuit);
   if (blocks.empty()) {
     return false;
@@ -38,8 +82,7 @@ bool consolidate_once(Circuit& circuit, int min_two_qubit) {
       }
       mini.append(op);
     }
-    const la::Mat4 u = two_qubit_circuit_unitary(mini);
-    const auto resynth = decompose_two_qubit_unitary(u);
+    const auto& resynth = memo.decompose(two_qubit_circuit_unitary(mini));
     if (!resynth.has_value()) {
       continue;
     }
@@ -92,9 +135,10 @@ bool consolidate_once(Circuit& circuit, int min_two_qubit) {
 /// Iterates sweeps until convergence: resynthesised blocks can fuse with
 /// neighbouring gates into new consolidatable blocks.
 bool consolidate(Circuit& circuit, int min_two_qubit) {
+  ResynthMemo memo;
   bool any = false;
   for (int round = 0; round < 8; ++round) {
-    if (!consolidate_once(circuit, min_two_qubit)) {
+    if (!consolidate_once(circuit, min_two_qubit, memo)) {
       break;
     }
     any = true;

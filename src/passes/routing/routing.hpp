@@ -33,8 +33,10 @@ struct RoutingOutcome {
 };
 
 /// Routes `circuit` on `device`. Precondition: circuit.num_qubits() ==
-/// device.num_qubits() (apply a layout first). Deterministic given `seed`.
-/// 3+ qubit gates must have been synthesised away beforehand.
+/// device.num_qubits() (apply a layout first). Deterministic: only
+/// StochasticSwap reads `seed`; BasicSwap, SabreSwap and TketRouting give
+/// the same result for every seed. 3+ qubit gates must have been
+/// synthesised away beforehand.
 [[nodiscard]] RoutingOutcome route(RoutingKind kind,
                                    const ir::Circuit& circuit,
                                    const device::Device& device,

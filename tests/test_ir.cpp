@@ -696,6 +696,31 @@ TEST(QasmTest, ErrorsCarryTheQasmParseErrorPrefix) {
   }
 }
 
+TEST(QasmTest, UnsupportedConstructsAreNamedInTheError) {
+  // Without a dedicated check these failed on an unrelated token:
+  // "bad qubit reference 'foo q'" and "unknown identifier 'c'".
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"qreg q[2];\nopaque foo q;\n", "'opaque'"},
+      {"qreg q[2];\nopaque bar(theta) a, b;\n", "'opaque'"},
+      {"qreg q[2];\ncreg c[2];\nif(c==1) x q[1];\n",
+       "classically controlled 'if'"},
+      {"qreg q[2];\ncreg c[2];\nif (c == 3) cx q[0], q[1];\n",
+       "classically controlled 'if'"},
+  };
+  for (const auto& [text, construct] : cases) {
+    try {
+      (void)qrc::ir::from_qasm(text);
+      ADD_FAILURE() << "expected a parse error for " << text;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("qasm: parse error at line"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("unsupported"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(construct), std::string::npos) << msg;
+    }
+  }
+}
+
 // ----------------------------------------- equality and canonical keys ----
 
 namespace keys {

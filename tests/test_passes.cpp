@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <numeric>
 #include <random>
+#include <set>
 
 #include "bench_suite/benchmarks.hpp"
 #include "device/library.hpp"
+#include "ir/qasm.hpp"
 #include "ir/sim.hpp"
 #include "passes/blocks.hpp"
 #include "passes/commutation.hpp"
@@ -545,6 +551,79 @@ TEST(LayoutTest, SabreLayoutMatchesTheReferenceWithThreeQubitGates) {
   EXPECT_GT(swap_free, 0);
 }
 
+/// FNV-1a-64 over integers only, fed byte by byte in a fixed order, so a
+/// digest does not depend on the platform's libm or byte order.
+class IntDigest {
+ public:
+  void add(std::int64_t v) {
+    const auto bits = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((bits >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  void add(const std::vector<int>& v) {
+    add(static_cast<std::int64_t>(v.size()));
+    for (const int x : v) {
+      add(x);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(SabreGoldenTest, LayoutAndRoutingMatchRecordedDigests) {
+  // SabreLayout then SabreSwap on every library device over the benchmark
+  // families. Each digest covers the layouts, the routed op kinds and
+  // qubits, the swap counts and the final permutations. They were recorded
+  // from the earlier implementation, which rescored every front and
+  // extended pair per candidate swap and refined layouts through route(),
+  // so they pin the shared search core to its results.
+  const std::vector<std::pair<DeviceId, std::uint64_t>> expected = {
+      {DeviceId::kIbmqMontreal, 0xf7966874b94eda12ULL},
+      {DeviceId::kIbmqWashington, 0xaa9d9158b7f3e23cULL},
+      {DeviceId::kRigettiAspenM2, 0xc1c3ddd4c945405cULL},
+      {DeviceId::kIonqHarmony, 0x104fbde030edaaa1ULL},
+      {DeviceId::kOqcLucy, 0x1d198690a60cb0cdULL},
+  };
+  for (const auto& [id, want] : expected) {
+    const Device& dev = qrc::device::get_device(id);
+    IntDigest digest;
+    int swaps = 0;
+    for (const auto family : qrc::bench::all_families()) {
+      for (const int n : {2, 3, 5, 8, 13, 20}) {
+        if (n > dev.num_qubits()) {
+          continue;
+        }
+        for (const std::uint64_t seed : {1, 2}) {
+          const Circuit c = qrc::bench::make_benchmark(family, n, seed);
+          const auto layout = qrc::passes::compute_layout(
+              qrc::passes::LayoutKind::kSabre, c, dev, seed);
+          const auto outcome = qrc::passes::route(
+              qrc::passes::RoutingKind::kSabreSwap,
+              qrc::passes::apply_layout(c, layout, dev), dev, seed);
+          digest.add(layout);
+          for (const Operation& op : outcome.routed.ops()) {
+            digest.add(static_cast<int>(op.kind()));
+            for (const int q : op.qubits()) {
+              digest.add(q);
+            }
+          }
+          digest.add(outcome.swap_count);
+          digest.add(outcome.permutation);
+          swaps += outcome.swap_count;
+        }
+      }
+    }
+    EXPECT_EQ(digest.value(), want)
+        << dev.name() << " digest 0x" << std::hex << digest.value();
+    if (id != DeviceId::kIonqHarmony) {  // all-to-all: never swaps
+      EXPECT_GT(swaps, 0) << dev.name();
+    }
+  }
+}
+
 TEST(LayoutTest, ApplyLayoutRejectsNonInjective) {
   const Device& dev = qrc::device::get_device(DeviceId::kOqcLucy);
   const Circuit c = random_circuit(3, 10, 45);
@@ -626,6 +705,24 @@ TEST(RoutingTest, SabreBeatsBasicOnHeavyCircuit) {
             .swap_count;
   }
   EXPECT_LE(sabre_total, basic_total);
+}
+
+TEST(RoutingTest, SabreSwapDoesNotDependOnTheSeed) {
+  const Device& lucy = qrc::device::get_device(DeviceId::kOqcLucy);
+  const Device& montreal = qrc::device::get_device(DeviceId::kIbmqMontreal);
+  for (const Device* dev : {&lucy, &montreal}) {
+    for (const auto family : qrc::bench::all_families()) {
+      const Circuit c = qrc::passes::apply_layout(
+          qrc::bench::make_benchmark(family, 6, 3), {5, 0, 3, 1, 7, 2}, *dev);
+      const auto one =
+          qrc::passes::route(qrc::passes::RoutingKind::kSabreSwap, c, *dev, 1);
+      const auto seven =
+          qrc::passes::route(qrc::passes::RoutingKind::kSabreSwap, c, *dev, 7);
+      EXPECT_EQ(one.routed, seven.routed) << dev->name();
+      EXPECT_EQ(one.permutation, seven.permutation) << dev->name();
+      EXPECT_EQ(one.swap_count, seven.swap_count) << dev->name();
+    }
+  }
 }
 
 TEST(RoutingTest, TerminalMeasuresAreEmittedThroughTheFinalPlacement) {
@@ -961,6 +1058,168 @@ TEST(OptPassTest, FullPeepholeShrinksMessyCircuit) {
   (void)pass.run(c, {});
   EXPECT_LE(c.gate_count(), before);
   EXPECT_TRUE(qrc::ir::circuits_equivalent(original, c));
+}
+
+/// Exact bits of a block unitary, for counting repeats.
+std::array<std::uint64_t, 32> unitary_bits(const qrc::la::Mat4& u) {
+  std::array<std::uint64_t, 32> bits{};
+  for (int i = 0; i < 16; ++i) {
+    const auto z = u(i / 4, i % 4);
+    bits[static_cast<std::size_t>(2 * i)] =
+        std::bit_cast<std::uint64_t>(z.real());
+    bits[static_cast<std::size_t>(2 * i + 1)] =
+        std::bit_cast<std::uint64_t>(z.imag());
+  }
+  return bits;
+}
+
+/// Two-qubit block consolidation replayed through the public API, with a
+/// fresh decomposition for every block: up to 8 sweeps, each collecting
+/// the blocks, resynthesising those with at least `min_two_qubit` 2q gates
+/// and keeping a result only when it has fewer 2q gates, or as many and
+/// fewer gates. `repeats` counts block unitaries equal, bit for bit, to
+/// one already resynthesised in this run.
+bool reference_consolidate(Circuit& circuit, int min_two_qubit,
+                           int& repeats) {
+  std::set<std::array<std::uint64_t, 32>> decomposed;
+  bool any = false;
+  for (int sweep = 0; sweep < 8; ++sweep) {
+    std::vector<bool> removed(circuit.size(), false);
+    std::map<int, std::vector<Operation>> insert_after;
+    double phase = 0.0;
+    for (const auto& blk : qrc::passes::collect_2q_blocks(circuit)) {
+      if (blk.two_qubit_count < min_two_qubit) {
+        continue;
+      }
+      Circuit mini(2);
+      for (const int idx : blk.op_indices) {
+        Operation op = circuit.ops()[static_cast<std::size_t>(idx)];
+        for (int k = 0; k < op.num_qubits(); ++k) {
+          op.set_qubit(k, op.qubit(k) == blk.qubit_a ? 0 : 1);
+        }
+        mini.append(op);
+      }
+      const auto u = qrc::passes::two_qubit_circuit_unitary(mini);
+      if (!decomposed.insert(unitary_bits(u)).second) {
+        ++repeats;
+      }
+      const auto resynth = qrc::passes::decompose_two_qubit_unitary(u);
+      if (!resynth.has_value()) {
+        continue;
+      }
+      const int old_2q = blk.two_qubit_count;
+      const int old_total = static_cast<int>(blk.op_indices.size());
+      if (resynth->two_qubit_gate_count() > old_2q ||
+          (resynth->two_qubit_gate_count() == old_2q &&
+           resynth->gate_count() >= old_total)) {
+        continue;
+      }
+      std::vector<Operation> mapped;
+      for (Operation op : resynth->ops()) {
+        for (int k = 0; k < op.num_qubits(); ++k) {
+          op.set_qubit(k, op.qubit(k) == 0 ? blk.qubit_a : blk.qubit_b);
+        }
+        mapped.push_back(op);
+      }
+      for (const int idx : blk.op_indices) {
+        removed[static_cast<std::size_t>(idx)] = true;
+      }
+      insert_after[blk.op_indices.back()] = std::move(mapped);
+      phase += resynth->global_phase();
+    }
+    if (insert_after.empty()) {
+      break;
+    }
+    Circuit rebuilt(circuit.num_qubits(), circuit.name());
+    rebuilt.add_global_phase(circuit.global_phase() + phase);
+    for (int i = 0; i < static_cast<int>(circuit.size()); ++i) {
+      if (const auto it = insert_after.find(i); it != insert_after.end()) {
+        for (const Operation& op : it->second) {
+          rebuilt.append(op);
+        }
+      }
+      if (!removed[static_cast<std::size_t>(i)]) {
+        rebuilt.append(circuit.ops()[static_cast<std::size_t>(i)]);
+      }
+    }
+    circuit = std::move(rebuilt);
+    any = true;
+  }
+  return any;
+}
+
+/// FullPeepholeOptimise's rounds with the reference consolidation in
+/// place of PeepholeOptimise2Q.
+bool reference_full_peephole(Circuit& circuit, const PassContext& ctx,
+                             int& repeats) {
+  const qrc::passes::Optimize1qGatesDecomposition opt1q;
+  const qrc::passes::CommutativeCancellation commutative;
+  const qrc::passes::RemoveRedundancies redundancies;
+  bool any = false;
+  for (int round = 0; round < 3; ++round) {
+    bool changed = false;
+    changed |= opt1q.run(circuit, ctx);
+    changed |= reference_consolidate(circuit, 1, repeats);
+    changed |= commutative.run(circuit, ctx);
+    changed |= redundancies.run(circuit, ctx);
+    if (!changed) {
+      break;
+    }
+    any = true;
+  }
+  return any;
+}
+
+TEST(OptPassTest, PeepholePassesMatchTheReferenceSweep) {
+  const qrc::passes::PeepholeOptimise2Q peephole;
+  const qrc::passes::ConsolidateBlocks consolidate;
+  const qrc::passes::FullPeepholeOptimise full;
+  const Device& washington =
+      qrc::device::get_device(DeviceId::kIbmqWashington);
+  int repeats = 0;
+  int rewritten = 0;
+  const auto expect_same = [&](const Circuit& got, bool got_changed,
+                               const Circuit& want, bool want_changed,
+                               const std::string& what) {
+    EXPECT_EQ(got_changed, want_changed) << what;
+    EXPECT_EQ(qrc::ir::canonical_key(got), qrc::ir::canonical_key(want))
+        << what;
+    rewritten += got_changed ? 1 : 0;
+  };
+  for (const auto family : qrc::bench::all_families()) {
+    for (const int n : {2, 3, 5, 8}) {
+      const Circuit raw = qrc::bench::make_benchmark(family, n, 5);
+      Circuit native = raw;
+      PassContext native_ctx;
+      native_ctx.device = &washington;
+      (void)qrc::passes::BasisTranslator().run(native, native_ctx);
+      for (const auto& [input, ctx] :
+           {std::pair<const Circuit*, PassContext>{&raw, PassContext{}},
+            std::pair<const Circuit*, PassContext>{&native, native_ctx}}) {
+        const std::string what = raw.name() + " n=" + std::to_string(n) +
+                                 (ctx.device != nullptr ? " native" : "");
+        for (const int min_two_qubit : {1, 2}) {
+          Circuit got = *input;
+          const bool got_changed = min_two_qubit == 1
+                                       ? peephole.run(got, ctx)
+                                       : consolidate.run(got, ctx);
+          Circuit want = *input;
+          const bool want_changed =
+              reference_consolidate(want, min_two_qubit, repeats);
+          expect_same(got, got_changed, want, want_changed,
+                      what + " min_2q=" + std::to_string(min_two_qubit));
+        }
+        Circuit got = *input;
+        const bool got_changed = full.run(got, ctx);
+        Circuit want = *input;
+        const bool want_changed = reference_full_peephole(want, ctx, repeats);
+        expect_same(got, got_changed, want, want_changed, what + " full");
+      }
+    }
+  }
+  // Repeated block unitaries are the memoized case.
+  EXPECT_GT(repeats, 0);
+  EXPECT_GT(rewritten, 0);
 }
 
 }  // namespace

@@ -203,16 +203,17 @@ TEST(PerfCounters, PublishesMetricFamilies) {
   // Every kernel appears as a labelled series of the cycles family.
   const auto series = registry.counter_series("qrc_profile_cycles_total");
   EXPECT_TRUE(series.empty());  // gauges, not counters
-  for (const char* kernel :
-       {"mlp_forward", "tableau_sweep", "search_expand", "verify_clifford",
-        "verify_miter", "verify_stimuli"}) {
-    // gauge_value defaults to 0 for missing series; assert registration
-    // via the rendered exposition instead.
-    (void)kernel;
-  }
+  // gauge_value defaults to 0 for missing series; assert registration
+  // via the rendered exposition instead.
   const std::string text = registry.render_prometheus();
   EXPECT_NE(text.find("qrc_profile_ipc"), std::string::npos);
-  EXPECT_NE(text.find("kernel=\"mlp_forward\""), std::string::npos);
+  for (const char* kernel :
+       {"mlp_forward", "tableau_sweep", "search_expand", "verify_clifford",
+        "verify_miter", "verify_stimuli", "env_step"}) {
+    EXPECT_NE(text.find(std::string("kernel=\"") + kernel + "\""),
+              std::string::npos)
+        << kernel;
+  }
   EXPECT_NE(text.find("qrc_profile_perf_available"), std::string::npos);
 }
 
