@@ -1,9 +1,9 @@
 /// \file poller.hpp
-/// \brief Readiness-notification abstraction for the serve event loop:
-///        epoll on Linux, poll(2) elsewhere, picked at build time.
+/// \brief Readiness notification for the serve event loop: a thin
+///        level-triggered epoll wrapper.
 #pragma once
 
-#include <memory>
+#include <unordered_set>
 #include <vector>
 
 namespace qrc::net {
@@ -17,24 +17,30 @@ struct PollEvent {
   bool closed = false;
 };
 
-/// Level-triggered readiness interface. Not thread-safe: all calls must
-/// come from the single event-loop thread that owns it.
+/// Level-triggered epoll set. Not thread-safe: all calls must come from
+/// the single event-loop thread that owns it.
 class Poller {
  public:
-  virtual ~Poller() = default;
+  /// \throws std::runtime_error when the epoll instance cannot be created.
+  Poller();
+  ~Poller();
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
   /// Registers `fd` (or updates its interest set if already registered).
-  virtual void set(int fd, bool want_read, bool want_write) = 0;
+  void set(int fd, bool want_read, bool want_write);
 
   /// Deregisters `fd`; must be called before the fd is closed.
-  virtual void remove(int fd) = 0;
+  void remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = indefinitely) and appends ready fds
   /// to `out` (which is cleared first). Returns the number of events.
-  virtual int wait(std::vector<PollEvent>& out, int timeout_ms) = 0;
-};
+  int wait(std::vector<PollEvent>& out, int timeout_ms);
 
-/// The platform's backend: epoll on Linux, poll(2) elsewhere.
-[[nodiscard]] std::unique_ptr<Poller> make_poller();
+ private:
+  int epfd_;
+  // epoll_ctl needs ADD vs MOD picked correctly; track membership here.
+  std::unordered_set<int> registered_;
+};
 
 }  // namespace qrc::net

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -24,6 +25,7 @@
 #include "obs/trace.hpp"
 #include "rl/mlp.hpp"
 #include "service/jsonl.hpp"
+#include "util/json.hpp"
 
 namespace qrc::net {
 
@@ -92,7 +94,7 @@ bool parse_profilez_query(const std::string& path, double& seconds, int& hz,
 /// <key>:<value>...} over every stats-table row.
 std::string serve_stats_line(std::string_view id,
                              const obs::MetricsRegistry& registry) {
-  std::string out = "{\"id\":" + service::json_quote(id) +
+  std::string out = "{\"id\":" + util::json_quote(id) +
                     ",\"type\":\"result\",\"op\":\"stats\"";
   for (const auto& [key, value] : read_stats(registry)) {
     out += ",\"" + std::string(key) + "\":" + std::to_string(value);
@@ -136,7 +138,6 @@ Server::Server(service::CompileService& service, ServerConfig config)
   connections_active_ =
       &reg.gauge("qrc_net_connections_active", "Open connections");
   obs::stamp_build_info(reg, rl::simd_kernel_name());
-  poller_ = make_poller();
 }
 
 Server::~Server() { stop(); }
@@ -159,13 +160,13 @@ void Server::start() {
   if (config_.port >= 0) {
     listener_ = listen_tcp(config_.host, config_.port);
     port_ = local_port(listener_.fd());
-    poller_->set(listener_.fd(), /*want_read=*/true, /*want_write=*/false);
+    poller_.set(listener_.fd(), /*want_read=*/true, /*want_write=*/false);
   }
   if (config_.metrics_port >= 0) {
     metrics_listener_ = listen_tcp(config_.metrics_host, config_.metrics_port);
     metrics_port_ = local_port(metrics_listener_.fd());
-    poller_->set(metrics_listener_.fd(), /*want_read=*/true,
-                 /*want_write=*/false);
+    poller_.set(metrics_listener_.fd(), /*want_read=*/true,
+                /*want_write=*/false);
   }
 
   int pipe_fds[2];
@@ -177,7 +178,7 @@ void Server::start() {
   set_nonblocking(wake_read_.fd());
   set_nonblocking(wake_write_.fd());
 
-  poller_->set(wake_read_.fd(), /*want_read=*/true, /*want_write=*/false);
+  poller_.set(wake_read_.fd(), /*want_read=*/true, /*want_write=*/false);
 
   started_.store(true);
   started_at_ = std::chrono::steady_clock::now();
@@ -238,11 +239,11 @@ void Server::run_loop() {
   for (;;) {
     if (draining_.load()) {
       if (listener_.valid()) {
-        poller_->remove(listener_.fd());
+        poller_.remove(listener_.fd());
         listener_.close();
       }
       if (metrics_listener_.valid()) {
-        poller_->remove(metrics_listener_.fd());
+        poller_.remove(metrics_listener_.fd());
         metrics_listener_.close();
       }
       // Close every connection with nothing left to say; the rest are
@@ -263,7 +264,7 @@ void Server::run_loop() {
       }
     }
 
-    poller_->wait(events, /*timeout_ms=*/200);
+    poller_.wait(events, /*timeout_ms=*/200);
     for (const PollEvent& e : events) {
       if (e.fd == wake_read_.fd()) {
         char sink[256];
@@ -334,7 +335,7 @@ void Server::open_conn(Socket sock, bool http, std::size_t max_inflight) {
   conn.max_inflight = max_inflight;
   conns_.emplace(conn_id, std::move(conn));
   fd_to_conn_[fd] = conn_id;
-  poller_->set(fd, /*want_read=*/true, /*want_write=*/false);
+  poller_.set(fd, /*want_read=*/true, /*want_write=*/false);
   accepted_->inc();
   connections_active_->add(1);
 }
@@ -941,7 +942,7 @@ void Server::update_interest(Conn& conn) {
   const bool want_read =
       !conn.peer_eof && !conn.read_paused && !draining_.load();
   const bool want_write = backlog > 0;
-  poller_->set(conn.sock.fd(), want_read, want_write);
+  poller_.set(conn.sock.fd(), want_read, want_write);
 }
 
 void Server::close_conn(std::uint64_t conn_id) {
@@ -950,7 +951,7 @@ void Server::close_conn(std::uint64_t conn_id) {
     return;
   }
   const int fd = it->second.sock.fd();
-  poller_->remove(fd);
+  poller_.remove(fd);
   fd_to_conn_.erase(fd);
   // In-flight requests for this connection stay counted in pending_;
   // their final frames are drained and dropped, releasing the count.

@@ -39,7 +39,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -189,7 +188,7 @@ class Server {
   int metrics_port_ = -1;
   Socket wake_read_;
   Socket wake_write_;
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   std::thread loop_;
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};

@@ -2,7 +2,8 @@
 /// \brief Thin POSIX TCP helpers for the serve layer: an owning fd
 ///        wrapper, non-blocking listener setup, blocking client connects,
 ///        and a buffered line reader for clients/tests. No protocol
-///        knowledge lives here — framing and JSON stay in service/jsonl.
+///        knowledge lives here — the wire codecs stay in service/jsonl
+///        and JSON in util/json.
 #pragma once
 
 #include <optional>

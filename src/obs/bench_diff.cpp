@@ -4,10 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-// Reuses the strict JSON parser from the serve codec. The obs layer
-// otherwise sits below service/, but everything links into the one qrc
-// library and only this .cpp (never the header) reaches upward.
-#include "service/jsonl.hpp"
+#include "util/json.hpp"
 
 namespace qrc::obs {
 namespace {
@@ -71,7 +68,7 @@ BenchMetrics extract_bench_metrics(const std::string& json_text,
                                    std::string& bench_name) {
   BenchMetrics metrics;
   bench_name.clear();
-  const service::JsonValue doc = service::JsonValue::parse(json_text);
+  const util::JsonValue doc = util::JsonValue::parse(json_text);
   if (!doc.is_object()) {
     return metrics;
   }
@@ -136,7 +133,7 @@ DiffReport diff_benches(const std::string& history_jsonl,
       continue;
     }
     try {
-      const service::JsonValue row = service::JsonValue::parse(line);
+      const util::JsonValue row = util::JsonValue::parse(line);
       if (!row.is_object()) {
         continue;
       }

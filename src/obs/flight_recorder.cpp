@@ -9,6 +9,7 @@
 #include <ctime>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace qrc::obs {
 
@@ -20,34 +21,18 @@ std::int64_t wall_us() {
   return static_cast<std::int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
 }
 
-/// Bounded copy into a fixed char field, always NUL-terminated.
+/// Bounded copy into a fixed char field, always NUL-terminated. A cut
+/// that would split a multi-byte UTF-8 sequence moves back to its lead
+/// byte, so the field stays valid UTF-8 when `src` is.
 template <std::size_t N>
 void copy_field(char (&dst)[N], std::string_view src) {
-  const std::size_t n = std::min(src.size(), N - 1);
+  std::size_t n = std::min(src.size(), N - 1);
+  while (n < src.size() && n > 0 &&
+         (static_cast<unsigned char>(src[n]) & 0xC0) == 0x80) {
+    --n;
+  }
   std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
-}
-
-void append_json_escaped(std::string& out, const char* v) {
-  for (; *v != '\0'; ++v) {
-    const char c = *v;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 int g_sigquit_fd = 2;
@@ -126,11 +111,11 @@ std::string FlightRecorder::dump_json() const {
                   static_cast<long long>(ev.wall_us));
     out += head;
     out += flight_event_kind_name(ev.kind);
-    out += "\",\"tag\":\"";
-    append_json_escaped(out, ev.tag);
-    out += "\",\"detail\":\"";
-    append_json_escaped(out, ev.detail);
-    out += "\"}";
+    out += "\",\"tag\":";
+    out += util::json_quote(ev.tag);
+    out += ",\"detail\":";
+    out += util::json_quote(ev.detail);
+    out += '}';
   }
   out += ']';
   return out;

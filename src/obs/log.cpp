@@ -9,6 +9,8 @@
 #include <cstring>
 #include <ctime>
 
+#include "util/json.hpp"
+
 namespace qrc::obs {
 
 namespace {
@@ -30,29 +32,6 @@ void format_timestamp(char* buf, std::size_t n) {
   std::snprintf(buf, n, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
                 tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec, ms);
-}
-
-/// Minimal JSON string escaping (obs stays dependency-free; this mirrors
-/// service::json_quote without pulling service into obs).
-void append_json_escaped(std::string& out, std::string_view v) {
-  for (const char c : v) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void write_all(int fd, std::string_view line) {
@@ -114,11 +93,11 @@ bool Logger::log(LogLevel level, std::string_view tag,
     line += stamp;
     line += "\",\"level\":\"";
     line += log_level_name(level);
-    line += "\",\"tag\":\"";
-    append_json_escaped(line, tag);
-    line += "\",\"msg\":\"";
-    append_json_escaped(line, message);
-    line += "\"}\n";
+    line += "\",\"tag\":";
+    line += util::json_quote(tag);
+    line += ",\"msg\":";
+    line += util::json_quote(message);
+    line += "}\n";
   } else {
     line += stamp;
     line += ' ';

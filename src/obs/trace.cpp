@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
+
+#include "util/json.hpp"
 
 namespace qrc::obs {
 
@@ -13,42 +13,6 @@ namespace {
 std::atomic<int> g_detail{-1};
 
 thread_local TraceContext* t_current = nullptr;
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -162,10 +126,10 @@ void TraceContext::attr_json(int id, std::string_view key,
 }
 
 void TraceContext::attr(int id, std::string_view key, std::string_view value) {
-  attr_json(id, key, json_escape(value));
+  attr_json(id, key, util::json_quote(value));
 }
 void TraceContext::attr(int id, std::string_view key, const char* value) {
-  attr_json(id, key, json_escape(value));
+  attr_json(id, key, util::json_quote(value));
 }
 void TraceContext::attr(int id, std::string_view key, std::int64_t value) {
   attr_json(id, key, std::to_string(value));
@@ -177,7 +141,7 @@ void TraceContext::attr(int id, std::string_view key, int value) {
   attr_json(id, key, std::to_string(value));
 }
 void TraceContext::attr(int id, std::string_view key, double value) {
-  attr_json(id, key, json_number(value));
+  attr_json(id, key, util::json_number(value));
 }
 void TraceContext::attr(int id, std::string_view key, bool value) {
   attr_json(id, key, value ? "true" : "false");
@@ -245,7 +209,7 @@ std::string TraceContext::to_json() const {
   std::string out;
   const auto render = [&](const auto& self, int idx) -> void {
     const Span& span = spans_[static_cast<std::size_t>(idx)];
-    out += "{\"name\":" + json_escape(span.name);
+    out += "{\"name\":" + util::json_quote(span.name);
     out += ",\"start_us\":" + std::to_string(span.start_us);
     out += ",\"duration_us\":" +
            std::to_string(span.duration_us < 0 ? 0 : span.duration_us);
@@ -255,7 +219,7 @@ std::string TraceContext::to_json() const {
       for (const auto& [key, value] : span.attrs) {
         if (!first) out += ',';
         first = false;
-        out += json_escape(key) + ":" + value;
+        out += util::json_quote(key) + ":" + value;
       }
       out += '}';
     }
@@ -270,7 +234,7 @@ std::string TraceContext::to_json() const {
     }
     out += '}';
   };
-  out += "{\"id\":" + json_escape(request_id_);
+  out += "{\"id\":" + util::json_quote(request_id_);
   out += ",\"dropped\":" + std::to_string(dropped_);
   out += ",\"spans\":[";
   for (std::size_t r = 0; r < roots.size(); ++r) {

@@ -119,31 +119,6 @@ class TraceContext {
   int ambient_parent_ = kNoParent;
 };
 
-/// RAII span on an explicit context; no-op when `ctx` is null.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceContext* ctx, std::string_view name)
-      : ctx_(ctx), id_(ctx ? ctx->begin_span(name) : TraceContext::kDropped) {}
-  ScopedSpan(TraceContext* ctx, std::string_view name, int parent)
-      : ctx_(ctx),
-        id_(ctx ? ctx->begin_span(name, parent) : TraceContext::kDropped) {}
-  ~ScopedSpan() {
-    if (ctx_ != nullptr) ctx_->end_span(id_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  [[nodiscard]] int id() const { return id_; }
-  [[nodiscard]] TraceContext* context() const { return ctx_; }
-  template <typename V>
-  void attr(std::string_view key, V value) {
-    if (ctx_ != nullptr) ctx_->attr(id_, key, value);
-  }
-
- private:
-  TraceContext* ctx_;
-  int id_;
-};
-
 /// Coarse RAII span on the thread-ambient context; records only when a
 /// trace is active on this thread (one TLS load + branch otherwise).
 class AmbientSpan {

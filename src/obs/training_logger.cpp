@@ -1,29 +1,8 @@
 #include "obs/training_logger.hpp"
 
-#include <cmath>
+#include "util/json.hpp"
 
 namespace qrc::obs {
-
-namespace {
-
-/// Same numeric rendering policy as the Prometheus exposition: integers
-/// bare, everything else with enough digits to round-trip. NaN/Inf are
-/// not valid JSON, so they degrade to null.
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
-}  // namespace
 
 TrainingLogger::TrainingLogger(const std::string& path) : path_(path) {
   file_ = std::fopen(path.c_str(), "w");
@@ -43,10 +22,9 @@ void TrainingLogger::write(
   for (const auto& [key, value] : fields) {
     if (!first) line += ',';
     first = false;
-    line += '"';
-    line += key;  // field names are code-controlled identifiers
-    line += "\":";
-    append_number(line, value);
+    line += util::json_quote(key);
+    line += ':';
+    line += util::json_number(value);
   }
   line += "}\n";
   std::fwrite(line.data(), 1, line.size(), file_);

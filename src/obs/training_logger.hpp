@@ -32,8 +32,9 @@ class TrainingLogger {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::size_t records() const { return records_; }
 
-  /// Writes `{"k1":v1,...}` + newline and flushes. Integral values render
-  /// without a fraction, everything else with round-trip precision.
+  /// Writes `{"k1":v1,...}` + newline and flushes. Values render through
+  /// util::json_number: integers without a fraction, everything else with
+  /// round-trip precision, NaN and infinity as null.
   void write(const std::vector<std::pair<std::string, double>>& fields);
 
  private:

@@ -1,83 +1,24 @@
 /// \file jsonl.hpp
-/// \brief Dependency-free JSON for the compile service's line-delimited
-///        protocol: a minimal value type with a strict parser, plus the
-///        `qrc serve` request/response line codecs. One JSON object per
-///        line in, one per line out — trivially scriptable from a shell.
+/// \brief The `qrc serve` request/response line codecs for the compile
+///        service's line-delimited protocol. One JSON object per line in,
+///        one per line out — trivially scriptable from a shell.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <variant>
-#include <vector>
 
 #include "search/search.hpp"
 #include "service/compile_service.hpp"
 #include "service/errors.hpp"
+#include "util/json.hpp"
 
 namespace qrc::service {
 
-/// A parsed JSON value. Objects keep their members sorted by key (std::map)
-/// so dump() output is canonical regardless of input order.
-class JsonValue {
- public:
-  using Array = std::vector<JsonValue>;
-  using Object = std::map<std::string, JsonValue>;
-
-  JsonValue() : v_(nullptr) {}
-  JsonValue(std::nullptr_t) : v_(nullptr) {}
-  JsonValue(bool b) : v_(b) {}
-  JsonValue(double d) : v_(d) {}
-  JsonValue(std::string s) : v_(std::move(s)) {}
-  JsonValue(const char* s) : v_(std::string(s)) {}
-  JsonValue(Array a) : v_(std::move(a)) {}
-  JsonValue(Object o) : v_(std::move(o)) {}
-
-  [[nodiscard]] bool is_null() const {
-    return std::holds_alternative<std::nullptr_t>(v_);
-  }
-  [[nodiscard]] bool is_bool() const {
-    return std::holds_alternative<bool>(v_);
-  }
-  [[nodiscard]] bool is_number() const {
-    return std::holds_alternative<double>(v_);
-  }
-  [[nodiscard]] bool is_string() const {
-    return std::holds_alternative<std::string>(v_);
-  }
-  [[nodiscard]] bool is_array() const {
-    return std::holds_alternative<Array>(v_);
-  }
-  [[nodiscard]] bool is_object() const {
-    return std::holds_alternative<Object>(v_);
-  }
-
-  /// Typed accessors; throw std::runtime_error on a kind mismatch.
-  [[nodiscard]] bool as_bool() const;
-  [[nodiscard]] double as_number() const;
-  [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const Array& as_array() const;
-  [[nodiscard]] const Object& as_object() const;
-
-  /// Parses exactly one JSON value spanning the whole text (trailing
-  /// whitespace allowed, trailing garbage rejected).
-  /// \throws std::runtime_error with a byte offset on malformed input.
-  static JsonValue parse(std::string_view text);
-
-  /// Compact canonical serialisation (no whitespace, sorted object keys,
-  /// numbers via shortest round-trippable decimal).
-  [[nodiscard]] std::string dump() const;
-
- private:
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
-};
-
-/// `s` as a JSON string literal: surrounding quotes plus escapes for
-/// quote, backslash, and control characters.
-[[nodiscard]] std::string json_quote(std::string_view s);
-
-// ------------------------------------------------------ serve protocol ---
+// The JSON codec lives in util/json.hpp; these keep the names the serve
+// protocol's callers already use.
+using util::JsonValue;
+using util::json_quote;
 
 /// Operation carried by a request envelope.
 enum class ServeOp : std::uint8_t {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <cmath>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,7 @@
 #include "obs/trace.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -37,8 +39,8 @@ using qrc::obs::MetricsRegistry;
 using qrc::obs::TraceContext;
 using qrc::reward::RewardKind;
 using qrc::service::CompileService;
-using qrc::service::JsonValue;
 using qrc::service::ServiceConfig;
+using qrc::util::JsonValue;
 
 Circuit small_ghz() {
   Circuit c(3, "ghz3");
@@ -68,6 +70,16 @@ const Predictor& shared_model() {
 
 std::shared_ptr<const Predictor> shared_handle() {
   return {&shared_model(), [](const Predictor*) {}};
+}
+
+/// Every control byte, quote, backslash, DEL and multi-byte UTF-8
+/// (U+00E9, U+20AC, U+1F600) in one string.
+std::string awkward_text() {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) {
+    s.push_back(static_cast<char>(c));
+  }
+  return s + "\"\\\x7f\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";
 }
 
 /// Depth-first span names of a parsed trace JSON object.
@@ -256,6 +268,13 @@ TEST(TraceContextTest, SpanTreeNestsAndCarriesAttrs) {
   trace.attr(child, "hit", false);
   trace.attr(child, "strategy", "beam");
   trace.end_span(child);
+  // Names and attrs with every byte class the renderer must escape or
+  // pass through, and a NaN, which JSON can only carry as null.
+  const std::string awkward = awkward_text();
+  const int odd = trace.begin_span(awkward);
+  trace.attr(odd, "text", awkward);
+  trace.attr(odd, "nan", std::nan(""));
+  trace.end_span(odd);
   trace.end_span(root);
 
   const auto parsed = JsonValue::parse(trace.to_json());
@@ -270,6 +289,11 @@ TEST(TraceContextTest, SpanTreeNestsAndCarriesAttrs) {
   EXPECT_EQ(attrs.at("fused_circuits").as_number(), 4.0);
   EXPECT_FALSE(attrs.at("hit").as_bool());
   EXPECT_EQ(attrs.at("strategy").as_string(), "beam");
+  const JsonValue* odd_span = find_span(parsed, awkward, true);
+  ASSERT_NE(odd_span, nullptr);
+  const auto& odd_attrs = odd_span->as_object().at("attrs").as_object();
+  EXPECT_EQ(odd_attrs.at("text").as_string(), awkward);
+  EXPECT_TRUE(odd_attrs.at("nan").is_null());
 
   const std::string text = trace.to_text();
   EXPECT_NE(text.find("compile"), std::string::npos);

@@ -30,6 +30,7 @@
 #include "obs/training_logger.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -41,8 +42,18 @@ using qrc::obs::Logger;
 using qrc::obs::LogLevel;
 using qrc::obs::MetricsRegistry;
 using qrc::service::CompileService;
-using qrc::service::JsonValue;
 using qrc::service::ServiceConfig;
+using qrc::util::JsonValue;
+
+/// Every control byte, quote, backslash, DEL and multi-byte UTF-8
+/// (U+00E9, U+20AC, U+1F600) in one string.
+std::string awkward_text() {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) {
+    s.push_back(static_cast<char>(c));
+  }
+  return s + "\"\\\x7f\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";
+}
 
 Circuit small_ghz() {
   Circuit c(3, "ghz3");
@@ -197,15 +208,20 @@ TEST(LogTest, JsonModeEmitsParsableObjects) {
   log.set_level(LogLevel::kInfo);
   log.set_json(true);
   ASSERT_TRUE(qrc::obs::log_info("test", "json \"quoted\" payload"));
+  const std::string awkward = awkward_text();
+  ASSERT_TRUE(qrc::obs::log_info(awkward, awkward));
   log.set_json(false);
 
-  const auto lines = log.recent(1);
-  ASSERT_EQ(lines.size(), 1u);
-  const auto obj = JsonValue::parse(lines.back()).as_object();
+  const auto lines = log.recent(2);
+  ASSERT_EQ(lines.size(), 2u);
+  const auto obj = JsonValue::parse(lines.front()).as_object();
   EXPECT_EQ(obj.at("level").as_string(), "info");
   EXPECT_EQ(obj.at("tag").as_string(), "test");
   EXPECT_EQ(obj.at("msg").as_string(), "json \"quoted\" payload");
   EXPECT_EQ(obj.count("ts"), 1u);
+  const auto odd = JsonValue::parse(lines.back()).as_object();
+  EXPECT_EQ(odd.at("tag").as_string(), awkward);
+  EXPECT_EQ(odd.at("msg").as_string(), awkward);
   log.set_sink_fd(2);
 }
 
@@ -240,14 +256,23 @@ TEST(FlightRecorderTest, DumpJsonIsAParsableArray) {
   rec.clear();
   rec.record(FlightEventKind::kShed, "service", "lane 'x' shed \"r1\"");
   rec.record(FlightEventKind::kRefutation, "verify", "model m refuted");
+  // A client-chosen id whose two-byte characters straddle the detail
+  // field's cut: the cut must not split one.
+  std::string id = "a";
+  for (int i = 0; i < 60; ++i) {
+    id += "\xc3\xbc";  // U+00FC
+  }
+  rec.record(FlightEventKind::kRequest, "service", "request '" + id);
 
   const auto parsed = JsonValue::parse(rec.dump_json()).as_array();
-  ASSERT_EQ(parsed.size(), 2u);
+  ASSERT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed[0].as_object().at("kind").as_string(), "shed");
   EXPECT_EQ(parsed[0].as_object().at("detail").as_string(),
             "lane 'x' shed \"r1\"");
   EXPECT_EQ(parsed[1].as_object().at("kind").as_string(), "refutation");
   EXPECT_GT(parsed[1].as_object().at("wall_us").as_number(), 0.0);
+  const std::string cut = parsed[2].as_object().at("detail").as_string();
+  EXPECT_EQ(cut, ("request '" + id).substr(0, 94));  // 42 whole U+00FC
 }
 
 TEST(FlightRecorderTest, SigquitDumpsTheRingToTheInstalledFd) {
@@ -466,7 +491,8 @@ TEST(TrainTelemetryTest, JsonlLoggerWritesOneRecordPerUpdate) {
                    {"policy_loss", u.policy_loss},
                    {"approx_kl", u.approx_kl},
                    {"clip_fraction", u.clip_fraction},
-                   {"mean_episode_reward", u.mean_episode_reward}});
+                   {"mean_episode_reward", u.mean_episode_reward},
+                   {"undefined", std::nan("")}});
     };
     const auto stats = predictor.train({small_ghz()}, progress);
     EXPECT_EQ(callbacks, stats.size());
@@ -483,6 +509,7 @@ TEST(TrainTelemetryTest, JsonlLoggerWritesOneRecordPerUpdate) {
     last_update = obj.at("update").as_number();
     EXPECT_EQ(obj.count("policy_loss"), 1u);
     EXPECT_EQ(obj.count("clip_fraction"), 1u);
+    EXPECT_TRUE(obj.at("undefined").is_null());  // JSON has no NaN
     ++parsed;
   }
   ::unlink(path);

@@ -194,6 +194,59 @@ TEST(JsonlTest, RejectsMalformedRequests) {
   EXPECT_THROW((void)qrc::service::parse_serve_request(
                    R"({"v":1,"qasm":"x"} trailing)"),
                std::runtime_error);
+
+  // Raw UTF-8 in strings: well-formed sequences pass through...
+  const std::string utf8 = "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";  // é € 😀
+  EXPECT_EQ(qrc::service::parse_serve_request(
+                "{\"v\":1,\"id\":\"" + utf8 + "\",\"qasm\":\"x\"}")
+                .id,
+            utf8);
+  // ...and every ill-formed one is a typed bad_request naming the offset.
+  for (const std::string& bad : {
+           std::string("\x80"),              // stray continuation byte
+           std::string("a\xbf"),             // stray continuation byte
+           std::string("\xc0\xaf"),          // overlong '/'
+           std::string("\xe0\x80\xaf"),      // overlong '/'
+           std::string("\xf0\x80\x80\xaf"),  // overlong '/'
+           std::string("\xed\xa0\x80"),      // surrogate U+D800
+           std::string("\xed\xbf\xbf"),      // surrogate U+DFFF
+           std::string("\xf4\x90\x80\x80"),  // U+110000
+           std::string("\xf5\x80\x80\x80"),  // lead byte past U+10FFFF
+           std::string("\xff\xfe"),          // never valid
+           std::string("\xe2\x82"),          // truncated €
+           std::string("\xf0\x9f\x98"),      // truncated 😀
+       }) {
+    const std::string line =
+        "{\"v\":1,\"id\":\"" + bad + "\",\"qasm\":\"x\"}";
+    try {
+      (void)qrc::service::parse_serve_request(line);
+      ADD_FAILURE() << "accepted invalid UTF-8 in " << line;
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+      EXPECT_NE(std::string(e.what()).find("json: invalid UTF-8 at offset "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A truncated sequence at the very end of the text, too.
+  EXPECT_THROW((void)JsonValue::parse("\"\xc3"), std::runtime_error);
+
+  // On the wire such a line is answered with a bad_request error frame
+  // whose own bytes are valid UTF-8 (the id cannot be recovered).
+  const std::string line = "{\"v\":1,\"id\":\"\xed\xa0\x80\",\"qasm\":\"x\"}";
+  try {
+    (void)qrc::service::parse_serve_request(line);
+    ADD_FAILURE() << "accepted an invalid id";
+  } catch (const std::exception& e) {
+    const auto frame = JsonValue::parse(qrc::service::serve_error_line(
+        qrc::service::extract_request_id(line),
+        qrc::service::error_code_of(e), e.what()));
+    const auto& obj = frame.as_object();
+    EXPECT_EQ(obj.at("id").as_string(), "");
+    EXPECT_EQ(obj.at("type").as_string(), "error");
+    EXPECT_EQ(obj.at("error").as_object().at("code").as_string(),
+              "bad_request");
+  }
 }
 
 TEST(JsonlTest, ValueParserHandlesEscapesNestingAndCanonicalDump) {
