@@ -102,7 +102,7 @@ void ablate_episode_lengths_and_features() {
   for (int f = 0; f < features::kNumFeatures; ++f) {
     double total = 0.0;
     for (const auto& circuit : corpus) {
-      total += predictor.compile_with_masked_feature(circuit, f).reward;
+      total += predictor.compile(circuit, {.masked_feature = f}).reward;
     }
     std::printf("  %-16s %12.4f\n", kFeatureNames[f],
                 total / static_cast<double>(corpus.size()));

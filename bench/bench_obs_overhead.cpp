@@ -6,12 +6,13 @@
 //   baseline    obs::set_enabled(false) — every counter/histogram
 //               mutation short-circuits at the kill switch
 //   obs_on      the production default: registry mutations live,
-//               QRC_OBS_DETAIL off (DetailTimer = one branch)
+//               requests untraced (every span = one branch)
 //   log_on      obs_on plus the structured logger at info level — the
 //               service's hot-path lines are debug/rate-limited, so this
 //               measures the per-request should_log checks
-//   detail_on   QRC_OBS_DETAIL on plus a per-request TraceContext —
-//               the full span pipeline, reported but not asserted
+//   detail_on   a per-request TraceContext, so every coarse and
+//               hot-path span records — the full span pipeline,
+//               reported but not asserted
 //   profile_on  obs_on plus a live 97 Hz SIGPROF sampling session over
 //               the request — measures the cost of taking profiles in
 //               production (signal delivery + fp-walk per tick)
@@ -114,7 +115,6 @@ std::unique_ptr<service::CompileService> make_service(
 void run_one(ModeLane& lane, const ir::Circuit& circuit, int i,
              bool record) {
   obs::set_enabled(lane.mode != Mode::kBaseline);
-  obs::set_detail_enabled(lane.mode == Mode::kDetailOn);
   obs::Logger::instance().set_level(lane.mode == Mode::kLogOn
                                         ? obs::LogLevel::kInfo
                                         : obs::LogLevel::kOff);
@@ -138,7 +138,6 @@ void run_one(ModeLane& lane, const ir::Circuit& circuit, int i,
     lane.samples.push_back(response.latency_us);
   }
   obs::set_enabled(true);
-  obs::set_detail_enabled(false);
   obs::Logger::instance().set_level(obs::LogLevel::kOff);
 }
 

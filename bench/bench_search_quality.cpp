@@ -43,14 +43,15 @@ StrategyRun run_strategy(const core::Predictor& predictor,
                          const search::SearchOptions& options) {
   StrategyRun run;
   run.name = search::strategy_name(options.strategy);
-  const auto searched = predictor.compile_search_all(corpus, options);
+  const auto searched =
+      predictor.compile_all(corpus, nullptr, {.search = options});
 
   int improved = 0;
   std::int64_t search_us = 0;
   run.min_delta = 1e300;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    // compile_search_all runs the greedy baseline internally and records
-    // its reward — no separate compile_all pass needed.
+    // A searched compile runs the greedy baseline internally and records
+    // its reward — no separate greedy pass needed.
     const double delta =
         searched[i].reward - searched[i].search_stats->baseline_reward;
     run.mean_delta += delta;
@@ -66,7 +67,7 @@ StrategyRun run_strategy(const core::Predictor& predictor,
   run.improved_fraction =
       static_cast<double>(improved) / static_cast<double>(corpus.size());
   // Throughput over the engine's own wall time (SearchStats::elapsed_us),
-  // not the surrounding compile_search_all call — the latter includes the
+  // not the surrounding compile_all call — the latter includes the
   // greedy baseline rollouts, which would understate search speed.
   run.nodes_per_sec = static_cast<double>(run.nodes) /
                       std::max(static_cast<double>(search_us) / 1e6, 1e-12);

@@ -102,21 +102,16 @@ std::vector<rl::PpoUpdateStats> Predictor::train(
   return stats;
 }
 
-CompilationResult Predictor::compile(const ir::Circuit& circuit) const {
-  return compile_batch(std::span<const ir::Circuit>(&circuit, 1), -1).front();
-}
-
-CompilationResult Predictor::compile_verified(
-    const ir::Circuit& circuit, const verify::VerifyOptions& options) const {
-  return compile_batch(std::span<const ir::Circuit>(&circuit, 1), -1,
-                       nullptr, &options)
+CompilationResult Predictor::compile(const ir::Circuit& circuit,
+                                     const CompileOptions& options) const {
+  return compile_all(std::span<const ir::Circuit>(&circuit, 1), nullptr,
+                     options)
       .front();
 }
 
-std::vector<CompilationResult> Predictor::compile_all(
-    std::span<const ir::Circuit> circuits, rl::WorkerPool* pool,
-    const verify::VerifyOptions* verify_options) const {
-  return compile_batch(circuits, -1, pool, verify_options);
+CompilationResult Predictor::compile_search(
+    const ir::Circuit& circuit, const search::SearchOptions& options) const {
+  return compile(circuit, {.search = options});
 }
 
 verify::VerifyResult verify_compilation(const ir::Circuit& original,
@@ -131,17 +126,9 @@ verify::VerifyResult verify_compilation(const ir::Circuit& original,
                               result.initial_layout, result.final_layout);
 }
 
-CompilationResult Predictor::compile_with_masked_feature(
-    const ir::Circuit& circuit, int feature_index) const {
-  return compile_batch(std::span<const ir::Circuit>(&circuit, 1),
-                       feature_index)
-      .front();
-}
-
-std::vector<CompilationResult> Predictor::compile_batch(
-    std::span<const ir::Circuit> circuits, int feature_index,
-    rl::WorkerPool* external_pool,
-    const verify::VerifyOptions* verify_options) const {
+std::vector<CompilationResult> Predictor::compile_all(
+    std::span<const ir::Circuit> circuits, rl::WorkerPool* external_pool,
+    const CompileOptions& options) const {
   if (!agent_.has_value()) {
     throw std::logic_error("Predictor::compile: train or load a model first");
   }
@@ -161,21 +148,22 @@ std::vector<CompilationResult> Predictor::compile_batch(
   // The pool runs the batched policy forwards (row-parallel) and steps the
   // independent episodes concurrently. A caller-provided pool is reused
   // as-is (the compile service keeps one per model lane); otherwise a
-  // batch-local pool is spun up.
+  // call-local pool is spun up, no wider than the suite unless searching.
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int workers =
-      config_.rollout_workers > 0
-          ? std::min(config_.rollout_workers, num_circuits)
-          : std::min(num_circuits, hw > 0 ? hw : 1);
+  int workers = config_.rollout_workers > 0 ? config_.rollout_workers
+                                            : (hw > 0 ? hw : 1);
+  if (!options.search.has_value()) {
+    workers = std::min(workers, num_circuits);
+  }
   std::optional<rl::WorkerPool> local_pool;
   rl::WorkerPool& pool =
       external_pool != nullptr ? *external_pool : local_pool.emplace(workers);
 
-  // The shared batched greedy rollout core (also the search baseline).
+  // The batched greedy rollout core: the result, or the search baseline.
   const auto episodes = [&] {
     obs::AmbientSpan span("greedy_rollout");
     return run_greedy_episodes(agent_->policy(), circuits, env_config,
-                               feature_index, pool);
+                               options.masked_feature, pool);
   }();
 
   for (int c = 0; c < num_circuits; ++c) {
@@ -198,118 +186,66 @@ std::vector<CompilationResult> Predictor::compile_batch(
     result.final_layout = state.final_layout;
   }
 
-  if (verify_options != nullptr) {
+  if (options.search.has_value()) {
+    search::SearchContext context;
+    context.policy = &agent_->policy();
+    context.value = &agent_->value_net();
+    context.reward = config_.reward;
+    context.seed = config_.seed;
+    context.max_steps = config_.env_max_steps;
+
+    for (int c = 0; c < num_circuits; ++c) {
+      auto& result = results[static_cast<std::size_t>(c)];
+      search::ProgressFn per_circuit;
+      if (options.progress) {
+        // Quantum-0 snapshot: the greedy baseline is already a complete
+        // compilation, so a streaming consumer sees at least one partial
+        // even when the deadline kills the search before its first
+        // quantum.
+        search::SearchProgress baseline;
+        baseline.strategy = options.search->strategy;
+        baseline.found_terminal = true;
+        baseline.best_reward = result.reward;
+        options.progress(c, baseline);
+        per_circuit = [&options, c](const search::SearchProgress& snapshot) {
+          options.progress(c, snapshot);
+        };
+      }
+      search::SearchResult searched = [&] {
+        obs::AmbientSpan span("search_lookahead");
+        return search::run_search(circuits[c], context, *options.search,
+                                  pool, per_circuit);
+      }();
+      searched.stats.baseline_reward = result.reward;
+      if (searched.found_terminal && searched.reward > result.reward) {
+        // The searched sequence strictly beats the greedy baseline.
+        searched.stats.improved = true;
+        result.action_trace.clear();
+        for (const int action : searched.actions) {
+          result.action_trace.push_back(registry.at(action).name());
+        }
+        result.reward = searched.reward;
+        result.used_fallback = false;
+        result.device = searched.state.device;
+        result.initial_layout.clear();
+        if (searched.state.initial_layout.has_value()) {
+          result.initial_layout = *searched.state.initial_layout;
+        }
+        result.final_layout = searched.state.final_layout;
+        result.circuit = std::move(searched.state.circuit);
+      }
+      result.search_stats = std::move(searched.stats);
+    }
+  }
+
+  if (options.verify.has_value()) {
     // Post-compile verification gate: independent per circuit, so the
     // checks spread over the same worker pool as the rollout.
     obs::AmbientSpan span("verify_gate");
     pool.parallel_for(num_circuits, [&](int c) {
       auto& result = results[static_cast<std::size_t>(c)];
       result.verification =
-          verify_compilation(circuits[c], result, *verify_options);
-    });
-  }
-  return results;
-}
-
-CompilationResult Predictor::compile_search(
-    const ir::Circuit& circuit, const search::SearchOptions& options,
-    const verify::VerifyOptions* verify_options,
-    const search::ProgressFn& progress) const {
-  SearchProgressFn indexed;
-  if (progress) {
-    indexed = [&progress](int, const search::SearchProgress& snapshot) {
-      progress(snapshot);
-    };
-  }
-  return compile_search_all(std::span<const ir::Circuit>(&circuit, 1),
-                            options, nullptr, verify_options, indexed)
-      .front();
-}
-
-std::vector<CompilationResult> Predictor::compile_search_all(
-    std::span<const ir::Circuit> circuits,
-    const search::SearchOptions& options, rl::WorkerPool* external_pool,
-    const verify::VerifyOptions* verify_options,
-    const SearchProgressFn& progress) const {
-  if (!agent_.has_value()) {
-    throw std::logic_error(
-        "Predictor::compile_search: train or load a model first");
-  }
-  const ActionRegistry& registry = ActionRegistry::instance();
-  const int num_circuits = static_cast<int>(circuits.size());
-  if (num_circuits == 0) {
-    return {};
-  }
-
-  // Search has batched work wider than the circuit count (frontier rows,
-  // MCTS leaf batches), so the default pool is sized by the hardware, not
-  // by the suite.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int workers = config_.rollout_workers > 0 ? config_.rollout_workers
-                                                  : (hw > 0 ? hw : 1);
-  std::optional<rl::WorkerPool> local_pool;
-  rl::WorkerPool& pool =
-      external_pool != nullptr ? *external_pool : local_pool.emplace(workers);
-
-  // Greedy baselines through the shared rollout core: the anytime floor
-  // every searched result is clamped against.
-  std::vector<CompilationResult> results =
-      compile_batch(circuits, -1, &pool, nullptr);
-
-  search::SearchContext context;
-  context.policy = &agent_->policy();
-  context.value = &agent_->value_net();
-  context.reward = config_.reward;
-  context.seed = config_.seed;
-  context.max_steps = config_.env_max_steps;
-
-  for (int c = 0; c < num_circuits; ++c) {
-    auto& result = results[static_cast<std::size_t>(c)];
-    search::ProgressFn per_circuit;
-    if (progress) {
-      // Quantum-0 snapshot: the greedy baseline is already a complete
-      // compilation, so a streaming consumer sees at least one partial
-      // even when the deadline kills the search before its first quantum.
-      search::SearchProgress baseline;
-      baseline.strategy = options.strategy;
-      baseline.found_terminal = true;
-      baseline.best_reward = result.reward;
-      progress(c, baseline);
-      per_circuit = [&progress, c](const search::SearchProgress& snapshot) {
-        progress(c, snapshot);
-      };
-    }
-    search::SearchResult searched = [&] {
-      obs::AmbientSpan span("search_lookahead");
-      return search::run_search(circuits[c], context, options, pool,
-                                per_circuit);
-    }();
-    searched.stats.baseline_reward = result.reward;
-    if (searched.found_terminal && searched.reward > result.reward) {
-      // The searched sequence strictly beats the greedy baseline.
-      searched.stats.improved = true;
-      result.action_trace.clear();
-      for (const int action : searched.actions) {
-        result.action_trace.push_back(registry.at(action).name());
-      }
-      result.reward = searched.reward;
-      result.used_fallback = false;
-      result.device = searched.state.device;
-      result.initial_layout.clear();
-      if (searched.state.initial_layout.has_value()) {
-        result.initial_layout = *searched.state.initial_layout;
-      }
-      result.final_layout = searched.state.final_layout;
-      result.circuit = std::move(searched.state.circuit);
-    }
-    result.search_stats = std::move(searched.stats);
-  }
-
-  if (verify_options != nullptr) {
-    pool.parallel_for(num_circuits, [&](int c) {
-      auto& result = results[static_cast<std::size_t>(c)];
-      result.verification =
-          verify_compilation(circuits[c], result, *verify_options);
+          verify_compilation(circuits[c], result, *options.verify);
     });
   }
   return results;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,9 +39,9 @@ struct CompilationResult {
   /// through the layouts. The compiled circuit itself is never altered by
   /// verification.
   std::optional<verify::VerifyResult> verification;
-  /// Present when the result came from compile_search: planning cost and
-  /// outcome counters (nodes, transpositions, deadline, reward delta vs
-  /// the greedy baseline the search is clamped against).
+  /// Present when the result was searched (CompileOptions::search):
+  /// planning cost and outcome counters (nodes, transpositions, deadline,
+  /// reward delta vs the greedy baseline the search is clamped against).
   std::optional<search::SearchStats> search_stats;
 };
 
@@ -66,6 +67,35 @@ struct PredictorConfig {
   int rollout_workers = 0;
 };
 
+/// What a compile does beyond the greedy policy rollout. The default is
+/// the plain greedy compile; each field switches on one stage. Every field
+/// has an initializer, so designated initializers (`{.search = s}`) may
+/// name any subset without -Wmissing-field-initializers.
+struct CompileOptions {
+  /// Post-compile verification gate: fills each result's `verification`
+  /// by checking it against its input. Verification only observes; the
+  /// compiled circuit is the same with or without it.
+  std::optional<verify::VerifyOptions> verify = std::nullopt;
+  /// Policy-guided lookahead (beam or MCTS) over the same MDP, with the
+  /// trained policy as prior and the value network as leaf bootstrap. The
+  /// result is clamped to the greedy baseline: it is replaced only when
+  /// the search finds a strictly higher reward, and `search_stats` records
+  /// the planning cost and whether it improved. With a deadline the search
+  /// is anytime; without one the result is bitwise-deterministic for a
+  /// fixed (model, options) at any worker count, and beam(1) reproduces
+  /// the greedy result bit for bit.
+  std::optional<search::SearchOptions> search = std::nullopt;
+  /// Anytime trajectory of the search: (circuit index in the span,
+  /// snapshot). One quantum-0 snapshot fires right after the greedy
+  /// baseline, so every searched circuit reports at least once, then one
+  /// per search quantum. Observation only; ignored without `search`.
+  std::function<void(int, const search::SearchProgress&)> progress = nullptr;
+  /// Ablation hook: zero this observation feature at every greedy
+  /// inference step (a search plans with the unmasked policy), to measure
+  /// how load-bearing it is for the policy. -1 masks nothing.
+  int masked_feature = -1;
+};
+
 /// RL-optimized quantum compiler. Train once, compile many.
 class Predictor {
  public:
@@ -84,82 +114,40 @@ class Predictor {
 
   [[nodiscard]] bool is_trained() const { return agent_.has_value(); }
 
-  /// Compiles a circuit by greedy rollout of the trained policy. If the
-  /// policy does not reach Done within the step budget, a deterministic
-  /// fallback sequence (synthesis, SABRE layout/routing, synthesis, 1q
-  /// optimization) completes the flow and the result is flagged.
-  [[nodiscard]] CompilationResult compile(const ir::Circuit& circuit) const;
+  /// compile_all() over this one circuit, on a call-local worker pool.
+  [[nodiscard]] CompilationResult compile(
+      const ir::Circuit& circuit, const CompileOptions& options = {}) const;
 
-  /// compile() plus the post-compile verification gate: the result carries
-  /// a VerifyResult certifying (or refuting) functional equivalence of the
-  /// compiled circuit to `circuit`. Compilation output is bit-identical to
-  /// compile() — verification only observes.
-  [[nodiscard]] CompilationResult compile_verified(
-      const ir::Circuit& circuit,
-      const verify::VerifyOptions& options = {}) const;
-
-  /// Compiles a whole suite of circuits through one batched greedy-policy
-  /// loop: every inference step gathers the observations of all still-
-  /// running episodes and issues a single batched policy forward (rows
-  /// spread over a worker pool sized by `rollout_workers`), while the
-  /// environments step in parallel. Per circuit the result is identical
-  /// to compile() — the batched forward is bitwise-equal to the scalar
-  /// one and each episode's greedy loop is independent.
+  /// The compile engine; every other compile method runs through it.
+  ///
+  /// 1. Greedy rollout: all circuits walk one batched loop, with a single
+  ///    policy forward over every still-running episode per step (rows
+  ///    spread over the pool) while the episodes step in parallel. An
+  ///    episode that does not reach Done within the step budget is
+  ///    completed by a deterministic fallback sequence (synthesis, SABRE
+  ///    layout/routing, synthesis, 1q optimization) and flagged. Per
+  ///    circuit the result does not depend on the batch around it: the
+  ///    batched forward is bitwise-equal to the scalar one.
+  /// 2. `options.search`: each circuit in turn is searched and the result
+  ///    clamped to its greedy baseline (see CompileOptions::search).
+  /// 3. `options.verify`: the verification gate, checks spread over the
+  ///    pool.
   ///
   /// `pool` lets a long-lived caller (the compile service) reuse one
-  /// worker pool across many batches instead of paying thread spawn per
-  /// call; nullptr creates a batch-local pool. The pool choice cannot
-  /// change results (index-parallel jobs are deterministic for any pool
-  /// size). All compile* methods are const and safe to call concurrently
-  /// from multiple threads on one Predictor.
-  ///
-  /// `verify_options`, if non-null, enables the post-compile verification
-  /// gate: each result's `verification` field is filled by checking it
-  /// against its input circuit (checks run in parallel over the pool).
+  /// worker pool across calls; nullptr spins up a call-local one, one
+  /// worker per hardware thread (PredictorConfig::rollout_workers
+  /// overrides), capped at the circuit count unless searching: search has
+  /// batched work wider than the suite (frontier rows, MCTS leaf
+  /// batches). The pool never changes results. All compile methods are
+  /// const and safe to call concurrently on one Predictor.
+  /// \throws std::logic_error when no model was trained or loaded.
   [[nodiscard]] std::vector<CompilationResult> compile_all(
       std::span<const ir::Circuit> circuits, rl::WorkerPool* pool = nullptr,
-      const verify::VerifyOptions* verify_options = nullptr) const;
+      const CompileOptions& options = {}) const;
 
-  /// Compiles by policy-guided lookahead search (beam or MCTS, per
-  /// `options`) instead of the one-shot greedy rollout. The search plans
-  /// over the same MDP with the trained policy as prior and the value
-  /// network as leaf bootstrap, and the result is *clamped to best-so-far
-  /// against the greedy baseline*: it never has a lower reward than
-  /// compile(), and search_stats records whether (and at what planning
-  /// cost) the searched sequence improved on it. With a deadline
-  /// (options.deadline_ms) the search is anytime — it returns the best
-  /// sequence found when time runs out. Without a deadline the result is
-  /// bitwise-deterministic for fixed (model, options) regardless of the
-  /// worker count, and beam(1) reproduces compile() bit-for-bit.
-  ///
-  /// `progress`, when non-empty, observes the anytime trajectory: one
-  /// quantum-0 snapshot right after the greedy baseline (so at least one
-  /// snapshot always fires), then one per search quantum. Observation
-  /// only — it cannot change the result.
+  /// compile(circuit, {.search = options}).
   [[nodiscard]] CompilationResult compile_search(
-      const ir::Circuit& circuit, const search::SearchOptions& options,
-      const verify::VerifyOptions* verify_options = nullptr,
-      const search::ProgressFn& progress = {}) const;
-
-  /// Per-circuit progress sink for suite searches: (circuit index in the
-  /// span, snapshot). Same contract as search::ProgressFn otherwise.
-  using SearchProgressFn =
-      std::function<void(int, const search::SearchProgress&)>;
-
-  /// Suite variant of compile_search: greedy baselines run through the
-  /// one batched rollout core, then each circuit is searched in turn on
-  /// the shared pool. Pool/verify semantics match compile_all.
-  [[nodiscard]] std::vector<CompilationResult> compile_search_all(
-      std::span<const ir::Circuit> circuits,
-      const search::SearchOptions& options, rl::WorkerPool* pool = nullptr,
-      const verify::VerifyOptions* verify_options = nullptr,
-      const SearchProgressFn& progress = {}) const;
-
-  /// Ablation hook: compile with observation feature `feature_index`
-  /// zeroed at every inference step (measures how load-bearing each
-  /// feature is for the learned policy).
-  [[nodiscard]] CompilationResult compile_with_masked_feature(
-      const ir::Circuit& circuit, int feature_index) const;
+      const ir::Circuit& circuit, const search::SearchOptions& options) const;
 
   /// Reward of a compiled result under an arbitrary metric (for Table I).
   [[nodiscard]] double evaluate(const CompilationResult& result,
@@ -171,11 +159,6 @@ class Predictor {
   [[nodiscard]] const PredictorConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] std::vector<CompilationResult> compile_batch(
-      std::span<const ir::Circuit> circuits, int feature_index,
-      rl::WorkerPool* pool = nullptr,
-      const verify::VerifyOptions* verify_options = nullptr) const;
-
   PredictorConfig config_;
   std::optional<rl::PpoAgent> agent_;
 };

@@ -1,10 +1,9 @@
 /// \file rollout.hpp
 /// \brief The batched greedy-policy rollout core: one lockstep loop that
 ///        walks any number of episodes with a single batched policy
-///        forward per step. Predictor::compile / compile_all /
-///        compile_with_masked_feature are thin shims over it, and the
-///        search engine uses it for its greedy baselines — one
-///        implementation, every caller bitwise-identical.
+///        forward per step. Predictor::compile_all runs every compile
+///        through it, searched ones included (their greedy baselines) —
+///        one implementation, every caller bitwise-identical.
 #pragma once
 
 #include <cstdint>

@@ -45,20 +45,6 @@ const std::set<ir::GateKind>& native_gates(Platform p) {
   throw std::invalid_argument("native_gates: unknown platform");
 }
 
-ir::GateKind native_entangler(Platform p) {
-  switch (p) {
-    case Platform::kIBM:
-      return ir::GateKind::kCX;
-    case Platform::kRigetti:
-      return ir::GateKind::kCZ;
-    case Platform::kIonQ:
-      return ir::GateKind::kRXX;
-    case Platform::kOQC:
-      return ir::GateKind::kECR;
-  }
-  throw std::invalid_argument("native_entangler: unknown platform");
-}
-
 namespace {
 
 /// Platform-typical error magnitudes (medians of 2022-era published

@@ -29,9 +29,6 @@ enum class Platform : std::uint8_t {
 /// and barriers are always allowed).
 [[nodiscard]] const std::set<ir::GateKind>& native_gates(Platform p);
 
-/// The native two-qubit entangling gate of a platform.
-[[nodiscard]] ir::GateKind native_entangler(Platform p);
-
 /// Synthetic calibration data: deterministic per device name, magnitudes
 /// modeled on 2022-era published medians per platform.
 struct Calibration {

@@ -63,16 +63,6 @@ const std::vector<const Device*>& all_devices() {
   return kAll;
 }
 
-std::vector<const Device*> devices_on_platform(Platform p) {
-  std::vector<const Device*> out;
-  for (const Device* d : all_devices()) {
-    if (d->platform() == p) {
-      out.push_back(d);
-    }
-  }
-  return out;
-}
-
 const Device& device_by_name(std::string_view name) {
   for (const Device* d : all_devices()) {
     if (d->name() == name) {

@@ -29,9 +29,6 @@ inline constexpr int kNumDevices = 5;
 /// All five devices in declaration order.
 [[nodiscard]] const std::vector<const Device*>& all_devices();
 
-/// Devices belonging to a platform.
-[[nodiscard]] std::vector<const Device*> devices_on_platform(Platform p);
-
 /// Lookup by name ("ibmq_montreal", ...); throws on unknown name.
 [[nodiscard]] const Device& device_by_name(std::string_view name);
 

@@ -371,6 +371,10 @@ Circuit from_qasm(const std::string& text) {
         continue;
       }
       if (stmt.rfind("qreg", 0) == 0) {
+        if (have_qreg) {
+          throw std::runtime_error(
+              "unsupported construct: a second 'qreg' (one register only)");
+        }
         const std::size_t lb = stmt.find('[');
         const std::size_t rb = stmt.find(']');
         if (lb == std::string::npos || rb == std::string::npos || rb < lb) {
@@ -404,12 +408,7 @@ Circuit from_qasm(const std::string& text) {
         }
         continue;
       }
-      if (stmt.rfind("reset", 0) == 0) {
-        circuit.reset(parse_qubit_ref(strip(stmt.substr(5)), qreg_name));
-        continue;
-      }
-
-      // Gate statement: name[(params)] operand[, operand...]
+      // Gate statement (reset included): name[(params)] operand[, ...]
       std::size_t name_end = 0;
       while (name_end < stmt.size() &&
              (std::isalnum(static_cast<unsigned char>(stmt[name_end])) !=
@@ -439,10 +438,8 @@ Circuit from_qasm(const std::string& text) {
         }
         rest_begin = close + 1;
       }
-      std::vector<int> qubits;
-      for (const std::string& qref : split(stmt.substr(rest_begin), ',')) {
-        qubits.push_back(parse_qubit_ref(qref, qreg_name));
-      }
+      const std::vector<std::string> operands =
+          split(stmt.substr(rest_begin), ',');
 
       // Aliases.
       if (name == "u1") {
@@ -462,6 +459,18 @@ Circuit from_qasm(const std::string& text) {
       const auto kind = gate_from_name(name);
       if (!kind.has_value()) {
         throw std::runtime_error("unknown gate '" + name + "'");
+      }
+      if (operands.size() == 1 && strip(operands.front()) == qreg_name &&
+          gate_info(*kind).num_qubits == 1) {
+        // Register broadcast: `h q;` / `reset q;` act on every qubit of q.
+        for (int q = 0; q < circuit.num_qubits(); ++q) {
+          circuit.append(*kind, std::span<const int>(&q, 1), params);
+        }
+        continue;
+      }
+      std::vector<int> qubits;
+      for (const std::string& qref : operands) {
+        qubits.push_back(parse_qubit_ref(qref, qreg_name));
       }
       circuit.append(*kind, qubits, params);
     } catch (const std::exception& e) {

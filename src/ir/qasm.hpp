@@ -16,12 +16,14 @@ namespace qrc::ir {
 /// Parses OpenQASM 2.0 text. Supports the gate vocabulary of this library,
 /// the aliases u1 (-> p), u2(phi, lambda) (-> u3(pi/2, phi, lambda)) and
 /// u (-> u3), a single qreg, an optional creg, measure, barrier and reset.
+/// Single-qubit gates, reset and measure broadcast over the register when
+/// given its name (`h q;`, `reset q;`, `measure q -> c;`).
 /// Parameter expressions may use numbers (including scientific notation,
 /// e.g. 2.5e-2), "pi", unary plus/minus, + - * / and parentheses.
 /// Register sizes and qubit indices are capped at 1,000,000 (declarations
-/// beyond that are rejected rather than allocated). `opaque` declarations
-/// and classically controlled `if` statements are rejected with an error
-/// that names them as unsupported.
+/// beyond that are rejected rather than allocated). A second `qreg`,
+/// `opaque` declarations and classically controlled `if` statements are
+/// rejected with an error that names them as unsupported.
 /// \throws std::runtime_error on malformed input, with the source line and
 ///         offending statement in the message.
 [[nodiscard]] Circuit from_qasm(const std::string& text);

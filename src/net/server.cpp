@@ -732,11 +732,6 @@ std::string Server::render_statusz() const {
            std::string(obs::flight_event_kind_name(ev.kind)) + " [" +
            ev.tag + "] " + ev.detail + "\n";
   }
-  out += "\nrecent log lines:\n";
-  for (const std::string& line : obs::Logger::instance().recent(16)) {
-    out += line;
-    out += '\n';
-  }
   return out;
 }
 

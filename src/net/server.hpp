@@ -24,8 +24,8 @@
 /// (`metrics_host`/`metrics_port`) serves the ops endpoints on the same
 /// Poller loop: GET /metrics (Prometheus exposition), /healthz
 /// (liveness), /readyz (models loaded and lanes accepting), /statusz
-/// (build info, uptime, the stats table, profiler/process counters,
-/// recent flight-recorder and log tails), /debugz (flight-recorder dump
+/// (build info, uptime, the stats table, profiler/process counters, the
+/// flight-recorder tail, log lines included), /debugz (flight-recorder dump
 /// as JSON) and /profilez?seconds=N&hz=H (sampling-profiler session;
 /// folded stacks, collected off-loop so other connections keep being
 /// served, deterministic 400s on bad params). HEAD works on all of

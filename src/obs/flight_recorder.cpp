@@ -51,6 +51,7 @@ std::string_view flight_event_kind_name(FlightEventKind kind) {
     case FlightEventKind::kError: return "error";
     case FlightEventKind::kRefutation: return "refutation";
     case FlightEventKind::kDeadlineHit: return "deadline_hit";
+    case FlightEventKind::kLog: return "log";
   }
   return "?";
 }

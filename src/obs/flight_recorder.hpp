@@ -1,10 +1,11 @@
 /// \file flight_recorder.hpp
 /// \brief Lock-free bounded ring of recent notable events (request
 ///        summaries, sheds, typed errors, verify refutations, deadline
-///        hits) for post-mortem debugging. The ring is always armed and
-///        cheap enough to leave on: recording is a seqlock-style slot
-///        write with no allocation and no locks, so it is safe from the
-///        service worker threads and the net event loop alike.
+///        hits, emitted log lines) for post-mortem debugging. The ring is
+///        always armed and cheap enough to leave on: recording is a
+///        seqlock-style slot write with no allocation and no locks, so it
+///        is safe from the service worker threads and the net event loop
+///        alike.
 ///
 /// Dump paths, most to least exceptional:
 ///   - SIGQUIT (install_sigquit_dump): async-signal-context dump using
@@ -30,6 +31,7 @@ enum class FlightEventKind : std::uint8_t {
   kError = 3,       ///< typed service/protocol error
   kRefutation = 4,  ///< verifier refuted an optimised circuit
   kDeadlineHit = 5, ///< search stopped by its deadline
+  kLog = 6,         ///< a line the Logger emitted (tag, message)
 };
 
 [[nodiscard]] std::string_view flight_event_kind_name(FlightEventKind kind);

@@ -2,13 +2,12 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 
+#include "obs/flight_recorder.hpp"
 #include "util/json.hpp"
 
 namespace qrc::obs {
@@ -38,7 +37,7 @@ void write_all(int fd, std::string_view line) {
   std::size_t off = 0;
   while (off < line.size()) {
     const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-    if (n <= 0) return;  // sink gone; drop silently, the ring still has it
+    if (n <= 0) return;  // sink gone; drop silently, the recorder has it
     off += static_cast<std::size_t>(n);
   }
 }
@@ -110,12 +109,11 @@ bool Logger::log(LogLevel level, std::string_view tag,
   }
 
   const int fd = sink_fd_.load(std::memory_order_relaxed);
-  {
+  if (fd >= 0) {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (fd >= 0) write_all(fd, line);
-    ring_.push_back(line.substr(0, line.size() - 1));  // ring stores no '\n'
-    if (ring_.size() > kRingCapacity) ring_.pop_front();
+    write_all(fd, line);
   }
+  FlightRecorder::instance().record(FlightEventKind::kLog, tag, message);
   emitted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -157,15 +155,8 @@ bool Logger::log_rate_limited(LogLevel level, std::string_view tag,
   return log(level, tag, message);
 }
 
-std::vector<std::string> Logger::recent(std::size_t n) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t take = std::min(n, ring_.size());
-  return {ring_.end() - static_cast<std::ptrdiff_t>(take), ring_.end()};
-}
-
 void Logger::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
   buckets_.clear();
 }
 

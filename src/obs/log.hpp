@@ -1,26 +1,25 @@
 /// \file log.hpp
 /// \brief Dependency-free structured logging: a process-wide leveled
-///        logger with per-subsystem tags, optional JSON line output, a
-///        per-site rate limiter, and a bounded in-memory ring sink (the
-///        /statusz tail and tests read recent lines from it).
+///        logger with per-subsystem tags, optional JSON line output and a
+///        per-site rate limiter. Every emitted line is also recorded in
+///        the FlightRecorder as a kLog event (tag and message), which is
+///        where /statusz, /debugz and the SIGQUIT dump read recent lines.
 ///
 /// Suppressed calls (below the configured level) cost one relaxed atomic
 /// load and a branch, so hot paths may log at debug level unconditionally.
-/// Emission serialises on one mutex: lines never interleave, and every
-/// emitted line also lands in the ring. Configuration comes from
-/// set_level()/set_json() (the CLI's --log-level/--log-json) or the
-/// QRC_LOG / QRC_LOG_JSON environment variables via configure_from_env().
+/// Writes to the sink serialise on one mutex: lines never interleave.
+/// Configuration comes from set_level()/set_json() (the CLI's
+/// --log-level/--log-json) or the QRC_LOG / QRC_LOG_JSON environment
+/// variables via configure_from_env().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace qrc::obs {
 
@@ -40,9 +39,6 @@ enum class LogLevel : std::uint8_t {
 /// checks on the emit path are relaxed atomics.
 class Logger {
  public:
-  /// Lines the ring sink retains (recent() reads from here).
-  static constexpr std::size_t kRingCapacity = 256;
-
   [[nodiscard]] static Logger& instance();
 
   Logger() = default;
@@ -61,7 +57,7 @@ class Logger {
     return json_.load(std::memory_order_relaxed);
   }
   /// Where emitted lines are written (default 2 = stderr). Tests point
-  /// this at a pipe/file; -1 keeps the ring sink only.
+  /// this at a pipe/file; -1 records in the flight recorder only.
   void set_sink_fd(int fd) { sink_fd_.store(fd, std::memory_order_relaxed); }
   [[nodiscard]] int sink_fd() const {
     return sink_fd_.load(std::memory_order_relaxed);
@@ -77,8 +73,8 @@ class Logger {
            level != LogLevel::kOff;
   }
 
-  /// Emits one line (formats, writes to the sink fd, records in the
-  /// ring). Returns whether the line was emitted.
+  /// Emits one line (formats, writes to the sink fd, records a kLog
+  /// flight event). Returns whether the line was emitted.
   bool log(LogLevel level, std::string_view tag, std::string_view message);
 
   /// printf-style convenience over log().
@@ -93,9 +89,6 @@ class Logger {
                         std::string_view key, int max_per_sec,
                         std::string_view message);
 
-  /// The most recent emitted lines, oldest first, at most `n`.
-  [[nodiscard]] std::vector<std::string> recent(std::size_t n = 64) const;
-
   [[nodiscard]] std::uint64_t emitted() const {
     return emitted_.load(std::memory_order_relaxed);
   }
@@ -105,7 +98,7 @@ class Logger {
     return rate_limited_.load(std::memory_order_relaxed);
   }
 
-  /// Clears the ring and the rate-limiter buckets (tests).
+  /// Clears the rate-limiter buckets (tests).
   void clear();
 
  private:
@@ -121,8 +114,7 @@ class Logger {
     int count = 0;
   };
 
-  mutable std::mutex mu_;  // ring, rate buckets, write ordering
-  std::deque<std::string> ring_;
+  mutable std::mutex mu_;  // rate buckets, write ordering
   std::map<std::string, RateBucket, std::less<>> buckets_;
 };
 

@@ -9,8 +9,7 @@
 /// runners (perf_event_paranoid, seccomp) commonly refuse the syscall,
 /// in which case every PerfScope degrades to a clean no-op and
 /// `qrc_profile_perf_available` reports 0. The runtime kill switch
-/// (`set_perf_enabled`) costs one predictable branch when off, mirroring
-/// obs::detail_enabled().
+/// (`set_perf_enabled`) costs one predictable branch when off.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 
 #include "util/json.hpp"
 
@@ -9,28 +8,9 @@ namespace qrc::obs {
 
 namespace {
 
-// -1 = not yet initialized from the environment; 0/1 = resolved.
-std::atomic<int> g_detail{-1};
-
 thread_local TraceContext* t_current = nullptr;
 
 }  // namespace
-
-bool detail_enabled() {
-  int v = g_detail.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("QRC_OBS_DETAIL");
-    v = (env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0'))
-            ? 1
-            : 0;
-    g_detail.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_detail_enabled(bool on) {
-  g_detail.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 TraceContext* TraceContext::current() { return t_current; }
 void TraceContext::set_current(TraceContext* ctx) { t_current = ctx; }
@@ -150,11 +130,6 @@ void TraceContext::attr(int id, std::string_view key, bool value) {
 void TraceContext::set_ambient_parent(int id) {
   const std::lock_guard<std::mutex> lock(mu_);
   ambient_parent_ = id >= 0 ? id : kNoParent;
-}
-
-int TraceContext::ambient_parent() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return ambient_parent_;
 }
 
 void TraceContext::adopt(const TraceContext& other, int parent) {

@@ -4,13 +4,12 @@
 ///        search, and verify dispatch, recording scoped spans into a
 ///        bounded buffer renderable as a JSON span tree.
 ///
-/// Two instrumentation tiers:
-///  - Coarse spans (queue wait, batch, rollout, search, verify) are
-///    recorded whenever a request asked for a trace; their cost is a
-///    handful of clock reads per request.
-///  - Detail spans (per-step policy forward / env step, search leaf
-///    evaluation) ride behind the QRC_OBS_DETAIL env knob via DetailTimer,
-///    whose disabled cost is exactly one branch.
+/// Spans are recorded only while a trace context is ambient, that is for
+/// requests that asked for a trace and for `qrc compile --trace`. Coarse
+/// spans (queue wait, batch, rollout, search, verify) cost a handful of
+/// clock reads per request; detail spans (per-step policy forward / env
+/// step, search leaf evaluation) come from DetailTimer. Untraced, either
+/// costs one TLS load and a branch.
 ///
 /// Threading: a TraceContext is internally locked, so lane threads and
 /// pool workers may append concurrently. The thread-local `current()`
@@ -26,11 +25,6 @@
 #include <vector>
 
 namespace qrc::obs {
-
-/// Detail-span switch: initialized from the QRC_OBS_DETAIL env var
-/// (unset/"0" = off), overridable at runtime.
-[[nodiscard]] bool detail_enabled();
-void set_detail_enabled(bool on);
 
 class TraceContext {
  public:
@@ -78,7 +72,6 @@ class TraceContext {
   /// Default parent for begin_span(name) — lets a caller hang all
   /// subsequently recorded spans under e.g. the request's root span.
   void set_ambient_parent(int id);
-  [[nodiscard]] int ambient_parent() const;
 
   /// Copies every span of `other` under `parent`, rebasing timestamps
   /// from `other`'s epoch onto this context's. Used to merge a batch-local
@@ -141,25 +134,9 @@ class AmbientSpan {
   int id_ = TraceContext::kDropped;
 };
 
-/// Hot-path profiling hook: compiles to a single branch when
-/// QRC_OBS_DETAIL is off, and to an AmbientSpan when on.
-class DetailTimer {
- public:
-  explicit DetailTimer(const char* name) {
-    if (!detail_enabled()) return;  // the one branch
-    ctx_ = TraceContext::current();
-    if (ctx_ != nullptr) id_ = ctx_->begin_span(name);
-  }
-  ~DetailTimer() {
-    if (ctx_ != nullptr) ctx_->end_span(id_);
-  }
-  DetailTimer(const DetailTimer&) = delete;
-  DetailTimer& operator=(const DetailTimer&) = delete;
-
- private:
-  TraceContext* ctx_ = nullptr;
-  int id_ = TraceContext::kDropped;
-};
+/// Hot-path span (per inference step, per env step, per leaf batch): an
+/// AmbientSpan, so it records exactly when the request is traced.
+using DetailTimer = AmbientSpan;
 
 /// RAII setter for the thread-local current(), restoring the previous
 /// context on scope exit.

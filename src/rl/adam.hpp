@@ -28,7 +28,6 @@ class Adam {
   /// first. Gradients are left untouched (caller zeroes them).
   void step(double max_grad_norm = 0.0);
 
-  void set_lr(double lr) { config_.lr = lr; }
   [[nodiscard]] double lr() const { return config_.lr; }
 
  private:

@@ -502,14 +502,6 @@ void Mlp::zero_grad() {
   }
 }
 
-std::size_t Mlp::num_parameters() const {
-  std::size_t n = 0;
-  for (const Layer& layer : layers_) {
-    n += layer.w.size() + layer.b.size();
-  }
-  return n;
-}
-
 void Mlp::collect_parameters(std::vector<double*>& params,
                              std::vector<double*>& grads) {
   // From here on the optimizer may rewrite weights through these pointers

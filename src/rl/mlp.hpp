@@ -85,7 +85,6 @@ class Mlp {
 
   /// Parameter and gradient access for the optimizer (flat order:
   /// layer 0 weights, layer 0 biases, layer 1 weights, ...).
-  [[nodiscard]] std::size_t num_parameters() const;
   void collect_parameters(std::vector<double*>& params,
                           std::vector<double*>& grads);
 

@@ -260,14 +260,6 @@ int PpoAgent::act_greedy(std::span<const double> observation,
   return dist.argmax();
 }
 
-std::vector<double> PpoAgent::action_probabilities(
-    std::span<const double> observation,
-    const std::vector<bool>& mask) const {
-  const auto logits = policy_.forward(observation);
-  const MaskedCategorical dist(logits, mask);
-  return dist.probs();
-}
-
 int PpoAgent::act_sample(std::span<const double> observation,
                          const std::vector<bool>& mask,
                          std::mt19937_64& rng) const {

@@ -70,11 +70,6 @@ class PpoAgent {
   [[nodiscard]] int act_greedy(std::span<const double> observation,
                                const std::vector<bool>& mask) const;
 
-  /// Action probabilities under the masked policy (for ranked selection).
-  [[nodiscard]] std::vector<double> action_probabilities(
-      std::span<const double> observation,
-      const std::vector<bool>& mask) const;
-
   /// Stochastic action (used during training).
   [[nodiscard]] int act_sample(std::span<const double> observation,
                                const std::vector<bool>& mask,

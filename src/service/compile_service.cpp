@@ -521,9 +521,9 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
           traced_requesters.push_back(i);
         }
       }
-      core::Predictor::SearchProgressFn progress;
+      core::CompileOptions options{.search = slots[s].search};
       if (!listeners.empty()) {
-        progress = [&](int, const search::SearchProgress& snapshot) {
+        options.progress = [&](int, const search::SearchProgress& snapshot) {
           for (const SubmitHooks* hooks : listeners) {
             hooks->on_partial(snapshot);
           }
@@ -538,12 +538,11 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
       {
         obs::CurrentTraceScope scope(
             search_detail.has_value() ? &*search_detail : nullptr);
-        results[s] =
-            lane.model
-                ->compile_search_all(
-                    std::span<const ir::Circuit>(&slots[s].circuit, 1),
-                    *slots[s].search, lane.pool.get(), nullptr, progress)
-                .front();
+        results[s] = lane.model
+                         ->compile_all(std::span<const ir::Circuit>(
+                                           &slots[s].circuit, 1),
+                                       lane.pool.get(), options)
+                         .front();
       }
       const auto search_end = Clock::now();
       const auto strategy = search::strategy_name(slots[s].search->strategy);

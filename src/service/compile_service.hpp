@@ -71,7 +71,7 @@ struct ServiceResponse {
   std::string id;     ///< echoed request id
   std::string model;  ///< model that served the request
   /// Identical to Predictor::compile(); `result.verification` is filled
-  /// iff the request asked for it (the same field compile_verified uses).
+  /// iff the request asked for it (the field CompileOptions::verify fills).
   /// Cached results are re-verified against the incoming circuit — the
   /// checker is deterministic, so a cache hit carries the same verdict a
   /// fresh compilation would.
@@ -120,7 +120,7 @@ class CompileService {
   /// compilation raised. `verify` requests the post-compile equivalence
   /// gate (ServiceConfig::verify_options); the compiled circuit is
   /// identical either way. `search`, if set, compiles by policy-guided
-  /// lookahead (Predictor::compile_search) instead of the greedy rollout;
+  /// lookahead (CompileOptions::search) instead of the greedy rollout;
   /// the cache key then incorporates the full search configuration, so
   /// searched results never alias greedy ones (or searches under other
   /// configs). `trace`, if set, collects scoped spans for the request —

@@ -367,8 +367,10 @@ TEST(PredictorTest, CompileBeforeTrainThrows) {
 }
 
 TEST(PredictorTest, CompileAllMatchesIndividualCompiles) {
-  // The batched greedy loop (one policy forward over all still-running
-  // episodes per step) must reproduce compile() exactly per circuit.
+  // One engine behind every option shape: the batched suite compile (one
+  // policy forward over all still-running episodes per step, then the
+  // per-circuit search and the verify gate) must reproduce compile()
+  // exactly per circuit.
   qrc::core::PredictorConfig config;
   config.seed = 11;
   config.ppo.total_timesteps = 512;
@@ -383,19 +385,53 @@ TEST(PredictorTest, CompileAllMatchesIndividualCompiles) {
     suite.push_back(qrc::bench::make_benchmark(BenchmarkFamily::kGhz, n, 1));
     suite.push_back(qrc::bench::make_benchmark(BenchmarkFamily::kVqe, n, 1));
   }
-  const auto batched = predictor.compile_all(suite);
-  ASSERT_EQ(batched.size(), suite.size());
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const auto single = predictor.compile(suite[i]);
-    EXPECT_EQ(batched[i].action_trace, single.action_trace)
-        << suite[i].name();
-    EXPECT_EQ(batched[i].reward, single.reward);
-    EXPECT_EQ(batched[i].used_fallback, single.used_fallback);
-    EXPECT_EQ(batched[i].circuit.size(), single.circuit.size());
-    EXPECT_EQ(batched[i].device, single.device);
-    EXPECT_EQ(batched[i].final_layout, single.final_layout);
-    ASSERT_NE(batched[i].device, nullptr);
-    EXPECT_TRUE(batched[i].device->circuit_is_native(batched[i].circuit));
+  using qrc::core::CompileOptions;
+  const auto beam = qrc::search::parse_spec("beam:2");
+  const std::vector<std::pair<std::string, CompileOptions>> shapes = {
+      {"default", {}},
+      {"verify", {.verify = qrc::verify::VerifyOptions{}}},
+      {"masked_feature=3", {.masked_feature = 3}},
+      {"beam:2", {.search = beam}},
+      {"beam:2+verify",
+       {.verify = qrc::verify::VerifyOptions{}, .search = beam}},
+  };
+  for (const auto& [label, options] : shapes) {
+    const auto batched = predictor.compile_all(suite, nullptr, options);
+    ASSERT_EQ(batched.size(), suite.size()) << label;
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      const auto single = predictor.compile(suite[i], options);
+      const std::string context = label + " on " + suite[i].name();
+      EXPECT_TRUE(batched[i].circuit == single.circuit) << context;
+      EXPECT_EQ(batched[i].initial_layout, single.initial_layout) << context;
+      EXPECT_EQ(batched[i].final_layout, single.final_layout) << context;
+      EXPECT_EQ(batched[i].action_trace, single.action_trace) << context;
+      EXPECT_EQ(batched[i].reward, single.reward) << context;
+      EXPECT_EQ(batched[i].used_fallback, single.used_fallback) << context;
+      EXPECT_EQ(batched[i].device, single.device) << context;
+      ASSERT_EQ(batched[i].verification.has_value(),
+                options.verify.has_value())
+          << context;
+      ASSERT_EQ(single.verification.has_value(), options.verify.has_value())
+          << context;
+      if (options.verify.has_value()) {
+        EXPECT_EQ(batched[i].verification->verdict,
+                  single.verification->verdict)
+            << context;
+      }
+      ASSERT_EQ(batched[i].search_stats.has_value(),
+                options.search.has_value())
+          << context;
+      ASSERT_EQ(single.search_stats.has_value(), options.search.has_value())
+          << context;
+      if (options.search.has_value()) {
+        EXPECT_EQ(batched[i].search_stats->nodes_expanded,
+                  single.search_stats->nodes_expanded)
+            << context;
+      }
+      ASSERT_NE(batched[i].device, nullptr) << context;
+      EXPECT_TRUE(batched[i].device->circuit_is_native(batched[i].circuit))
+          << context;
+    }
   }
 }
 
@@ -431,7 +467,7 @@ TEST(PredictorTest, FeatureMaskedCompileStillExecutable) {
   (void)predictor.train({small_ghz()});
   for (int feature = 0; feature < 7; ++feature) {
     const auto result =
-        predictor.compile_with_masked_feature(small_ghz(), feature);
+        predictor.compile(small_ghz(), {.masked_feature = feature});
     EXPECT_TRUE(result.device->circuit_respects_topology(result.circuit))
         << "feature " << feature;
   }

@@ -684,6 +684,34 @@ TEST(QasmTest, MeasureOfAWholeRegisterBroadcasts) {
                std::runtime_error);
 }
 
+TEST(QasmTest, SingleQubitGatesAndResetBroadcastOverTheRegister) {
+  // OpenQASM 2 applies a gate named on a whole register to every qubit.
+  const Circuit c = qrc::ir::from_qasm(
+      "OPENQASM 2.0;\nqreg r[3];\ncreg c[3];\nh r;\nrz(0.25) r;\n"
+      "cx r[0], r[2];\nreset r;\nmeasure r -> c;\n");
+  Circuit want(3);
+  for (int q = 0; q < 3; ++q) {
+    want.h(q);
+  }
+  for (int q = 0; q < 3; ++q) {
+    want.rz(0.25, q);
+  }
+  want.cx(0, 2);
+  for (int q = 0; q < 3; ++q) {
+    want.reset(q);
+  }
+  want.measure_all();
+  EXPECT_TRUE(c == want) << qrc::ir::to_qasm(c);
+
+  // A multi-qubit gate over the one register would repeat a qubit.
+  for (const char* text : {"qreg q[2];\ncx q;\n",
+                           "qreg q[2];\ncx q, q[1];\n",
+                           "qreg q[2];\nh p;\n"}) {
+    EXPECT_THROW((void)qrc::ir::from_qasm(text), std::runtime_error)
+        << text;
+  }
+}
+
 TEST(QasmTest, ErrorsCarryTheQasmParseErrorPrefix) {
   try {
     (void)qrc::ir::from_qasm("qreg q[1];\nfoo q[0];\n");
@@ -706,6 +734,10 @@ TEST(QasmTest, UnsupportedConstructsAreNamedInTheError) {
        "classically controlled 'if'"},
       {"qreg q[2];\ncreg c[2];\nif (c == 3) cx q[0], q[1];\n",
        "classically controlled 'if'"},
+      // A second register used to restart the circuit, silently dropping
+      // every gate before it.
+      {"qreg a[2];\nx a[0];\ncx a[0],a[1];\nqreg b[3];\nh b[0];\n",
+       "second 'qreg'"},
   };
   for (const auto& [text, construct] : cases) {
     try {

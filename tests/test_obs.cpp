@@ -336,23 +336,14 @@ TEST(TraceContextTest, AdoptRebasesSpansUnderParent) {
 }
 
 TEST(TraceContextTest, DetailTimerIsAmbientAndGated) {
-  const bool saved = qrc::obs::detail_enabled();
   TraceContext trace("req-4");
   qrc::obs::TraceContext::set_current(&trace);
-
-  qrc::obs::set_detail_enabled(false);
-  { qrc::obs::DetailTimer timer("hot"); }
-  EXPECT_EQ(trace.span_count(), 0u);  // disabled: one branch, no span
-
-  qrc::obs::set_detail_enabled(true);
   { qrc::obs::DetailTimer timer("hot"); }
   EXPECT_EQ(trace.span_count(), 1u);
 
   qrc::obs::TraceContext::set_current(nullptr);
   { qrc::obs::DetailTimer timer("hot"); }  // no ambient context: no-op
   EXPECT_EQ(trace.span_count(), 1u);
-
-  qrc::obs::set_detail_enabled(saved);
 }
 
 // --------------------------------------------------- service trace shapes ---
@@ -600,23 +591,19 @@ TEST(NetObsTest, HttpMetricsListenerServesLabeledFamilies) {
 // ----------------------------------------------------------- determinism ---
 
 TEST(ObsDeterminismTest, TracingLeavesCompiledResultsBitwiseUnchanged) {
-  const bool saved = qrc::obs::detail_enabled();
   const Circuit circuit =
       qrc::bench::make_benchmark(BenchmarkFamily::kVqe, 4, 1);
 
-  qrc::obs::set_detail_enabled(false);
   const std::string baseline =
       qrc::ir::to_qasm(shared_model().compile(circuit).circuit);
 
   // Traced, with detail spans on: every hot-path timer fires.
-  qrc::obs::set_detail_enabled(true);
   CompileService svc;
   svc.registry().add("fidelity", shared_handle());
   const auto trace = std::make_shared<TraceContext>("det");
   auto traced = svc.submit("det", "fidelity", circuit, /*verify=*/false,
                            std::nullopt, trace)
                     .get();
-  qrc::obs::set_detail_enabled(saved);
 
   EXPECT_EQ(qrc::ir::to_qasm(traced.result.circuit), baseline);
   ASSERT_NE(traced.trace, nullptr);

@@ -1,11 +1,12 @@
 // Tests for the operational observability layer: the structured logger
-// (levels, ring sink, rate limiting, JSON lines), the flight recorder
-// (seqlock wraparound, JSON dump, the SIGQUIT handler), the ops HTTP
-// endpoints on the metrics listener (/healthz /readyz /statusz /debugz,
-// HEAD/405/400 handling, the scrape counter), the v1 "debug_dump" wire
-// op, and training telemetry (qrc_train_* metric families, the JSONL
-// curve logger, and the guarantee that telemetry is observation-only —
-// instrumented training produces a bitwise-identical model).
+// (levels, lines recorded as flight events, rate limiting, JSON lines),
+// the flight recorder (seqlock wraparound, JSON dump, the SIGQUIT
+// handler), the ops HTTP endpoints on the metrics listener (/healthz
+// /readyz /statusz /debugz, HEAD/405/400 handling, the scrape counter),
+// the v1 "debug_dump" wire op, and training telemetry (qrc_train_* metric
+// families, the JSONL curve logger, and the guarantee that telemetry is
+// observation-only — instrumented training produces a bitwise-identical
+// model).
 
 #include <gtest/gtest.h>
 #include <csignal>
@@ -147,7 +148,7 @@ int count_occurrences(const std::string& haystack, const std::string& needle) {
 TEST(LogTest, LevelGatesEmissionAndRingRetainsLines) {
   Logger& log = Logger::instance();
   log.clear();
-  log.set_sink_fd(-1);  // ring only: no stderr noise from tests
+  log.set_sink_fd(-1);  // flight recorder only: no stderr noise from tests
   log.set_level(LogLevel::kInfo);
 
   const auto before = log.emitted();
@@ -158,11 +159,17 @@ TEST(LogTest, LevelGatesEmissionAndRingRetainsLines) {
   EXPECT_TRUE(qrc::obs::log_warn("test", "warned"));
   EXPECT_EQ(log.emitted(), before + 2);
 
-  const auto lines = log.recent(8);
+  // Every emitted line is a kLog flight event holding tag and message.
+  std::vector<qrc::obs::FlightEvent> lines;
+  for (const auto& event : FlightRecorder::instance().snapshot()) {
+    if (event.kind == FlightEventKind::kLog) {
+      lines.push_back(event);
+    }
+  }
   ASSERT_GE(lines.size(), 2u);
-  EXPECT_NE(lines[lines.size() - 2].find("[test] hello ops"),
-            std::string::npos);
-  EXPECT_NE(lines.back().find("warn"), std::string::npos);
+  EXPECT_STREQ(lines[lines.size() - 2].tag, "test");
+  EXPECT_STREQ(lines[lines.size() - 2].detail, "hello ops");
+  EXPECT_STREQ(lines.back().detail, "warned");
 
   log.set_level(LogLevel::kOff);
   EXPECT_FALSE(qrc::obs::log_error("test", "nothing gets past off"));
@@ -204,15 +211,29 @@ TEST(LogTest, RateLimiterBoundsPerSiteEmission) {
 TEST(LogTest, JsonModeEmitsParsableObjects) {
   Logger& log = Logger::instance();
   log.clear();
-  log.set_sink_fd(-1);
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  log.set_sink_fd(pipe_fds[1]);
   log.set_level(LogLevel::kInfo);
   log.set_json(true);
   ASSERT_TRUE(qrc::obs::log_info("test", "json \"quoted\" payload"));
   const std::string awkward = awkward_text();
   ASSERT_TRUE(qrc::obs::log_info(awkward, awkward));
   log.set_json(false);
+  log.set_sink_fd(-1);
+  ::close(pipe_fds[1]);
 
-  const auto lines = log.recent(2);
+  std::string written;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(pipe_fds[0], buf, sizeof(buf))) > 0;) {
+    written.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(pipe_fds[0]);
+  std::vector<std::string> lines;
+  std::istringstream stream(written);
+  for (std::string line; std::getline(stream, line);) {
+    lines.push_back(line);
+  }
   ASSERT_EQ(lines.size(), 2u);
   const auto obj = JsonValue::parse(lines.front()).as_object();
   EXPECT_EQ(obj.at("level").as_string(), "info");
@@ -526,7 +547,7 @@ TEST(TrainTelemetryTest, TelemetryLeavesTrainingBitwiseUnchanged) {
   plain.save(plain_model);
 
   // Fully instrumented run: registry, JSONL progress, debug-level logging
-  // into the ring.
+  // into the flight recorder.
   Logger::instance().set_sink_fd(-1);
   Logger::instance().set_level(LogLevel::kDebug);
   char path[] = "/tmp/qrc_test_invisible_XXXXXX";

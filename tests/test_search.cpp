@@ -131,7 +131,8 @@ TEST(SearchEngineTest, SearchNeverWorseThanGreedyOnACorpus) {
   const auto greedy = shared_model().compile_all(suite);
   for (const char* spec : {"beam:4", "mcts:128"}) {
     const auto options = qrc::search::parse_spec(spec);
-    const auto searched = shared_model().compile_search_all(suite, options);
+    const auto searched =
+        shared_model().compile_all(suite, nullptr, {.search = options});
     for (std::size_t i = 0; i < suite.size(); ++i) {
       EXPECT_GE(searched[i].reward, greedy[i].reward)
           << spec << " on " << suite[i].name();
@@ -159,8 +160,9 @@ TEST(SearchEngineTest, BitwiseDeterministicAcrossWorkerCounts) {
     qrc::rl::WorkerPool serial(1);
     qrc::rl::WorkerPool wide(4);
     const auto a =
-        shared_model().compile_search_all(suite, options, &serial);
-    const auto b = shared_model().compile_search_all(suite, options, &wide);
+        shared_model().compile_all(suite, &serial, {.search = options});
+    const auto b =
+        shared_model().compile_all(suite, &wide, {.search = options});
     for (std::size_t i = 0; i < suite.size(); ++i) {
       expect_same_result(b[i], a[i],
                          std::string(spec) + " on " + suite[i].name());
@@ -359,8 +361,9 @@ TEST(SearchVerifyTest, SearchedResultsPassTheEquivalenceGate) {
     const Circuit circuit = qrc::bench::make_benchmark(
         families[f], qubits, 20 + static_cast<std::uint64_t>(f));
     for (const char* spec : {"beam:4", "mcts:48"}) {
-      const auto result = shared_model().compile_search(
-          circuit, qrc::search::parse_spec(spec), &verify_options);
+      const auto result = shared_model().compile(
+          circuit, {.verify = verify_options,
+                    .search = qrc::search::parse_spec(spec)});
       ASSERT_TRUE(result.verification.has_value());
       EXPECT_EQ(result.verification->verdict,
                 qrc::verify::Verdict::kEquivalent)

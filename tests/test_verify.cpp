@@ -564,7 +564,8 @@ TEST(VerifyPredictorTest, CompileVerifiedGatesTheResult) {
 
   const auto plain = predictor.compile(ghz);
   EXPECT_FALSE(plain.verification.has_value());
-  const auto verified = predictor.compile_verified(ghz);
+  const auto verified =
+      predictor.compile(ghz, {.verify = qrc::verify::VerifyOptions{}});
   ASSERT_TRUE(verified.verification.has_value());
   EXPECT_EQ(verified.verification->verdict, Verdict::kEquivalent)
       << verified.verification->detail;
@@ -575,7 +576,8 @@ TEST(VerifyPredictorTest, CompileVerifiedGatesTheResult) {
   // compile_all with the gate fills every result.
   const std::vector<Circuit> suite = {ghz, ghz};
   qrc::verify::VerifyOptions options;
-  const auto results = predictor.compile_all(suite, nullptr, &options);
+  const auto results =
+      predictor.compile_all(suite, nullptr, {.verify = options});
   for (const auto& r : results) {
     ASSERT_TRUE(r.verification.has_value());
     EXPECT_EQ(r.verification->verdict, Verdict::kEquivalent);

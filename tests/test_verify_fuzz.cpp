@@ -105,7 +105,7 @@ TEST(VerifyFuzzTest, TrainedPolicySweepHasZeroRefutations) {
   const auto suite = qrc::bench::benchmark_suite(2, 7, 48);
   int fallbacks = 0;
   for (const auto& circuit : suite) {
-    const auto result = predictor.compile_verified(circuit, verify_options);
+    const auto result = predictor.compile(circuit, {.verify = verify_options});
     ASSERT_TRUE(result.verification.has_value());
     fallbacks += result.used_fallback ? 1 : 0;
     ASSERT_NE(result.verification->verdict, Verdict::kNotEquivalent)

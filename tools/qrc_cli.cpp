@@ -398,15 +398,17 @@ int cmd_compile(int argc, char** argv) {
   const ir::Circuit circuit = read_qasm_file(args.positionals.front());
   std::printf("input: %s\n", circuit.summary().c_str());
 
-  const bool verify = args.single("verify") != nullptr;
-  std::optional<search::SearchOptions> search_options;
+  core::CompileOptions options;
+  if (args.single("verify") != nullptr) {
+    options.verify.emplace();
+  }
   if (const std::string* spec = args.single("search")) {
-    search_options = search::parse_spec(*spec);
+    options.search = search::parse_spec(*spec);
     const int deadline = args.get_int("deadline-ms", 0);
     if (deadline < 0) {
       throw std::runtime_error("--deadline-ms must be >= 0");
     }
-    search_options->deadline_ms = deadline;
+    options.search->deadline_ms = deadline;
   } else if (args.single("deadline-ms") != nullptr) {
     throw std::runtime_error("--deadline-ms requires --search");
   }
@@ -418,7 +420,6 @@ int cmd_compile(int argc, char** argv) {
   std::optional<obs::TraceContext> trace_ctx;
   int root_span = obs::TraceContext::kNoParent;
   if (trace) {
-    obs::set_detail_enabled(true);
     trace_ctx.emplace("cli");
     root_span = trace_ctx->begin_span("compile");
     trace_ctx->set_ambient_parent(root_span);
@@ -443,17 +444,12 @@ int cmd_compile(int argc, char** argv) {
     }
   }
 
-  const verify::VerifyOptions verify_options;
   const auto result = [&] {
     std::optional<obs::CurrentTraceScope> scope;
     if (trace_ctx.has_value()) {
       scope.emplace(&*trace_ctx);
     }
-    return search_options.has_value()
-               ? predictor.compile_search(circuit, *search_options,
-                                          verify ? &verify_options : nullptr)
-               : (verify ? predictor.compile_verified(circuit)
-                         : predictor.compile(circuit));
+    return predictor.compile(circuit, options);
   }();
   if (trace_ctx.has_value()) {
     trace_ctx->end_span(root_span);
