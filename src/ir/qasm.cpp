@@ -118,7 +118,10 @@ namespace {
 /// Minimal recursive-descent parser for parameter expressions:
 ///   expr := term (('+'|'-') term)*
 ///   term := factor (('*'|'/') factor)*
-///   factor := number | 'pi' | '-' factor | '(' expr ')'
+///   factor := number | 'pi' | ('-'|'+') factor | '(' expr ')'
+/// Parentheses and unary signs nest at most kMaxDepth levels deep, so
+/// hostile input cannot exhaust the stack, and every intermediate value
+/// must be finite: a gate angle of NaN or infinity has no meaning.
 class ExprParser {
  public:
   explicit ExprParser(std::string_view text) : text_(text) {}
@@ -134,16 +137,25 @@ class ExprParser {
   }
 
  private:
+  static constexpr int kMaxDepth = 128;
+
+  static double finite(double v) {
+    if (!std::isfinite(v)) {
+      throw std::runtime_error("expression value is not finite");
+    }
+    return v;
+  }
+
   double expr() {
     double v = term();
     for (;;) {
       skip_ws();
       if (peek() == '+') {
         ++pos_;
-        v += term();
+        v = finite(v + term());
       } else if (peek() == '-') {
         ++pos_;
-        v -= term();
+        v = finite(v - term());
       } else {
         return v;
       }
@@ -156,17 +168,30 @@ class ExprParser {
       skip_ws();
       if (peek() == '*') {
         ++pos_;
-        v *= factor();
+        v = finite(v * factor());
       } else if (peek() == '/') {
         ++pos_;
-        v /= factor();
+        v = finite(v / factor());
       } else {
         return v;
       }
     }
   }
 
+  /// The outermost factor is level 0; each parenthesis or unary sign
+  /// opens one more.
   double factor() {
+    if (depth_ > kMaxDepth) {
+      throw std::runtime_error("expression nested deeper than " +
+                               std::to_string(kMaxDepth) + " levels");
+    }
+    ++depth_;
+    const double v = nested_factor();
+    --depth_;
+    return v;
+  }
+
+  double nested_factor() {
     skip_ws();
     if (peek() == '-') {
       ++pos_;
@@ -229,6 +254,7 @@ class ExprParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 std::string strip(const std::string& s) {

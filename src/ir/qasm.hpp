@@ -19,7 +19,9 @@ namespace qrc::ir {
 /// Single-qubit gates, reset and measure broadcast over the register when
 /// given its name (`h q;`, `reset q;`, `measure q -> c;`).
 /// Parameter expressions may use numbers (including scientific notation,
-/// e.g. 2.5e-2), "pi", unary plus/minus, + - * / and parentheses.
+/// e.g. 2.5e-2), "pi", unary plus/minus, + - * / and parentheses, nested
+/// at most 128 levels deep; every value an expression computes on the way
+/// must be finite (`0/0`, `1/0` and overflows are rejected).
 /// Register sizes and qubit indices are capped at 1,000,000 (declarations
 /// beyond that are rejected rather than allocated). A second `qreg`,
 /// `opaque` declarations and classically controlled `if` statements are

@@ -229,30 +229,81 @@ Mat4 KakDecomposition::reconstruct() const {
   return (k1 * canonical_gate(x, y, z) * k2) * std::exp(cplx{0.0, phase});
 }
 
-namespace {
+WeylMoves weyl_moves(double x, double y, double z) {
+  WeylMoves moves;
+  std::array<double, 3> coord = {x, y, z};
 
-/// Applies one of the canonical coordinate moves to `d`, preserving
-/// reconstruct(). Coordinates are referenced by index 0 = x, 1 = y, 2 = z.
-struct CoordRef {
-  double* v[3];
-};
+  // Move 1: shift coordinate i by -pi/2 * k.
+  for (std::size_t i = 0; i < 3; ++i) {
+    const double k = std::round(coord[i] / (kPi / 2.0));
+    moves.shift[i] = k;
+    if (k != 0.0) {
+      coord[i] -= k * (kPi / 2.0);
+    }
+  }
 
-}  // namespace
+  // Moves 2 and 3: sign flips and swaps of coordinate pairs.
+  const auto record = [&](bool swap, int i, int j) {
+    moves.steps[static_cast<std::size_t>(moves.num_steps++)] = {swap, i, j};
+  };
+  const auto flip_pair = [&](int i, int j) {
+    coord[static_cast<std::size_t>(i)] = -coord[static_cast<std::size_t>(i)];
+    coord[static_cast<std::size_t>(j)] = -coord[static_cast<std::size_t>(j)];
+    record(false, i, j);
+  };
+  const auto swap_pair = [&](int i, int j) {
+    std::swap(coord[static_cast<std::size_t>(i)],
+              coord[static_cast<std::size_t>(j)]);
+    record(true, i, j);
+  };
+
+  // Sort by absolute value descending: |x| >= |y| >= |z|.
+  for (int pass = 0; pass < 2; ++pass) {
+    if (std::abs(coord[0]) < std::abs(coord[1])) {
+      swap_pair(0, 1);
+    }
+    if (std::abs(coord[1]) < std::abs(coord[2])) {
+      swap_pair(1, 2);
+    }
+  }
+  // Make x and y non-negative (flip signs in pairs).
+  if (coord[0] < 0.0 && coord[1] < 0.0) {
+    flip_pair(0, 1);
+  } else if (coord[0] < 0.0) {
+    flip_pair(0, 2);
+  } else if (coord[1] < 0.0) {
+    flip_pair(1, 2);
+  }
+  // x may now sit exactly at -pi/4 + eps boundary cases; where x < y due to
+  // earlier flips, re-sort once more (flips preserve absolute values, so a
+  // single extra pass suffices).
+  if (coord[0] < coord[1]) {
+    swap_pair(0, 1);
+  }
+  if (coord[1] < std::abs(coord[2])) {
+    // |y| >= |z| is guaranteed; y < |z| can only happen via tiny numerical
+    // noise, so clamp by swapping.
+    if (coord[1] < coord[2]) {
+      swap_pair(1, 2);
+    }
+  }
+  moves.x = coord[0];
+  moves.y = coord[1];
+  moves.z = coord[2];
+  return moves;
+}
 
 void KakDecomposition::canonicalize() {
-  double* coord[3] = {&x, &y, &z};
+  const WeylMoves moves = weyl_moves(x, y, z);
 
-  // Move 1: shift coordinate i by -pi/2 * k, folding (sigma (x) sigma)^k into
-  // the pre-interaction locals and adjusting the global phase.
+  // Move 1: canonical(c + k*pi/2 along i) = canonical(c) * (i sigma sigma)^k,
+  // so fold k powers of (sigma (x) sigma) into K2 and i^k into the phase.
   const Mat2 paulis[3] = {x_mat(), y_mat(), z_mat()};
-  for (int i = 0; i < 3; ++i) {
-    const double k = std::round(*coord[i] / (kPi / 2.0));
+  for (std::size_t i = 0; i < 3; ++i) {
+    const double k = moves.shift[i];
     if (k == 0.0) {
       continue;
     }
-    *coord[i] -= k * (kPi / 2.0);
-    // canonical(c + k*pi/2 along i) = canonical(c) * (i * sigma sigma)^k,
-    // so folding k powers of (sigma (x) sigma) into K2 and i^k into phase.
     const int km = static_cast<int>(((static_cast<long long>(k) % 4) + 4) % 4);
     for (int rep = 0; rep < km; ++rep) {
       k2_q1 = paulis[i] * k2_q1;
@@ -261,73 +312,56 @@ void KakDecomposition::canonicalize() {
     phase += k * kPi / 2.0;
   }
 
-  // Move 2 helpers: sign flips of coordinate pairs by conjugating with a
-  // single-side Pauli. Conjugating with (P (x) I) where P anticommutes with
-  // the two flipped sigmas:
-  //   flip (x, y): P = Z, flip (x, z): P = Y, flip (y, z): P = X.
-  const auto flip_pair = [&](int i, int j) {
-    int other = 3 - i - j;
-    const Mat2 p = paulis[other];
-    *coord[i] = -*coord[i];
-    *coord[j] = -*coord[j];
-    k1_q1 = k1_q1 * p;
-    k2_q1 = p * k2_q1;
-  };
-
-  // Move 3 helpers: swap two coordinates by conjugating with (V (x) V).
-  //   swap (x, y): V = S, swap (x, z): V = H, swap (y, z): V = Rx(pi/2).
-  const auto swap_pair = [&](int i, int j) {
+  for (int s = 0; s < moves.num_steps; ++s) {
+    const WeylMoves::Step& step = moves.steps[static_cast<std::size_t>(s)];
+    if (!step.swap) {
+      // Sign flip of a coordinate pair: conjugate with (P (x) I) where P
+      // anticommutes with the two flipped sigmas:
+      //   flip (x, y): P = Z, flip (x, z): P = Y, flip (y, z): P = X.
+      const Mat2 p = paulis[3 - step.i - step.j];
+      k1_q1 = k1_q1 * p;
+      k2_q1 = p * k2_q1;
+      continue;
+    }
+    // Swap of a coordinate pair: conjugate with (V (x) V).
+    //   swap (x, y): V = S, swap (x, z): V = H, swap (y, z): V = Rx(pi/2).
+    // canonical(..swapped..) = (V (x) V) canonical(c) (V (x) V)^dag, so
+    // canonical(c) = (V^dag (x) V^dag) canonical(..swapped..) (V (x) V).
     Mat2 v;
-    if ((i == 0 && j == 1) || (i == 1 && j == 0)) {
+    if (step.i + step.j == 1) {
       v = s_mat();
-    } else if ((i == 0 && j == 2) || (i == 2 && j == 0)) {
+    } else if (step.i + step.j == 2) {
       v = h_mat();
     } else {
       v = rx_mat(kPi / 2.0);
     }
-    // canonical(..swapped..) = (V (x) V) canonical(c) (V (x) V)^dag, so
-    // canonical(c) = (V^dag (x) V^dag) canonical(..swapped..) (V (x) V).
-    std::swap(*coord[i], *coord[j]);
     const Mat2 vd = v.adjoint();
     k1_q1 = k1_q1 * vd;
     k1_q0 = k1_q0 * vd;
     k2_q1 = v * k2_q1;
     k2_q0 = v * k2_q0;
-  };
-
-  // Sort by absolute value descending: |x| >= |y| >= |z|.
-  for (int pass = 0; pass < 2; ++pass) {
-    if (std::abs(*coord[0]) < std::abs(*coord[1])) {
-      swap_pair(0, 1);
-    }
-    if (std::abs(*coord[1]) < std::abs(*coord[2])) {
-      swap_pair(1, 2);
-    }
   }
-  // Make x and y non-negative (flip signs in pairs).
-  if (*coord[0] < 0.0 && *coord[1] < 0.0) {
-    flip_pair(0, 1);
-  } else if (*coord[0] < 0.0) {
-    flip_pair(0, 2);
-  } else if (*coord[1] < 0.0) {
-    flip_pair(1, 2);
-  }
-  // x may now sit exactly at -pi/4 + eps boundary cases; where x < y due to
-  // earlier flips, re-sort once more (flips preserve absolute values, so a
-  // single extra pass suffices).
-  if (*coord[0] < *coord[1]) {
-    swap_pair(0, 1);
-  }
-  if (*coord[1] < std::abs(*coord[2])) {
-    // |y| >= |z| is guaranteed; y < |z| can only happen via tiny numerical
-    // noise, so clamp by swapping.
-    if (*coord[1] < *coord[2]) {
-      swap_pair(1, 2);
-    }
-  }
+  x = moves.x;
+  y = moves.y;
+  z = moves.z;
 }
 
-std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
+namespace {
+
+/// The magic basis and its adjoint, built once.
+const Mat4& magic_b() {
+  static const Mat4 kB = magic_basis();
+  return kB;
+}
+
+const Mat4& magic_bdag() {
+  static const Mat4 kBdag = magic_basis().adjoint();
+  return kBdag;
+}
+
+}  // namespace
+
+std::optional<KakCore> kak_core(const Mat4& u) {
   if (!u.is_unitary(1e-8)) {
     return std::nullopt;
   }
@@ -338,10 +372,8 @@ std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
                  std::pow(std::abs(d), 0.25);
   const Mat4 su = u * (cplx{1.0, 0.0} / g);
 
-  const Mat4 b = magic_basis();
-  const Mat4 bdag = b.adjoint();
-  const Mat4 up = bdag * su * b;          // U' in the magic basis
-  const Mat4 m2 = up.transpose() * up;    // complex symmetric unitary
+  const Mat4 up = magic_bdag() * su * magic_b();  // U' in the magic basis
+  const Mat4 m2 = up.transpose() * up;            // complex symmetric unitary
 
   Real4 re{};
   Real4 im{};
@@ -375,14 +407,15 @@ std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
 
   // O = U' Q e^{-i Theta} must be real orthogonal with det +1. If
   // det(O) = -1, shift theta_0 by pi (flips the first column of O).
-  Mat4 qm;
+  KakCore out;
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {
-      qm(i, j) = q[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+      out.q(i, j) =
+          q[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
     }
   }
   const auto build_o = [&](const std::array<double, 4>& th) {
-    Mat4 o = up * qm;
+    Mat4 o = up * out.q;
     for (int i = 0; i < 4; ++i) {
       for (int j = 0; j < 4; ++j) {
         o(i, j) *= std::exp(cplx{0.0, -th[static_cast<std::size_t>(j)]});
@@ -390,12 +423,12 @@ std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
     }
     return o;
   };
-  Mat4 o = build_o(theta);
+  out.o = build_o(theta);
   // Check realness.
   double max_imag = 0.0;
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {
-      max_imag = std::max(max_imag, std::abs(o(i, j).imag()));
+      max_imag = std::max(max_imag, std::abs(out.o(i, j).imag()));
     }
   }
   if (max_imag > 1e-6) {
@@ -405,12 +438,12 @@ std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {
       o_real[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          o(i, j).real();
+          out.o(i, j).real();
     }
   }
   if (det4_real(o_real) < 0.0) {
     theta[0] += kPi;
-    o = build_o(theta);
+    out.o = build_o(theta);
   }
 
   // Solve theta_j = t + x*wx_j + y*wy_j + z*wz_j for (t, x, y, z).
@@ -427,23 +460,31 @@ std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
   if (!solve4(sys, theta, sol)) {
     return std::nullopt;
   }
-
-  KakDecomposition out;
   out.phase = darg / 4.0 + sol[0];
   out.x = sol[1];
   out.y = sol[2];
   out.z = sol[3];
+  return out;
+}
 
+std::optional<KakDecomposition> kak_factor_locals(const KakCore& core) {
+  KakDecomposition out;
+  out.phase = core.phase;
+  out.x = core.x;
+  out.y = core.y;
+  out.z = core.z;
   // Locals: K1 = B O B^dag, K2 = B Q^T B^dag, both SU(2) (x) SU(2).
-  const Mat4 k1m = b * o * bdag;
-  const Mat4 k2m = b * qm.transpose() * bdag;
+  const Mat4 k1m = magic_b() * core.o * magic_bdag();
+  const Mat4 k2m = magic_b() * core.q.transpose() * magic_bdag();
   if (!decompose_tensor_product(k1m, out.k1_q1, out.k1_q0, 1e-5) ||
       !decompose_tensor_product(k2m, out.k2_q1, out.k2_q0, 1e-5)) {
     return std::nullopt;
   }
+  return out;
+}
 
-  // Final verification; adjust the residual global phase exactly.
-  const Mat4 rebuilt = out.reconstruct();
+bool kak_fix_phase(KakDecomposition& kak, const Mat4& u) {
+  const Mat4 rebuilt = kak.reconstruct();
   int bi = 0;
   int bj = 0;
   double best = -1.0;
@@ -456,8 +497,17 @@ std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
       }
     }
   }
-  out.phase += std::arg(u(bi, bj) / rebuilt(bi, bj));
-  if (!out.reconstruct().approx_equal(u, 1e-6)) {
+  kak.phase += std::arg(u(bi, bj) / rebuilt(bi, bj));
+  return kak.reconstruct().approx_equal(u, 1e-6);
+}
+
+std::optional<KakDecomposition> kak_decompose(const Mat4& u) {
+  const auto core = kak_core(u);
+  if (!core.has_value()) {
+    return std::nullopt;
+  }
+  auto out = kak_factor_locals(*core);
+  if (!out.has_value() || !kak_fix_phase(*out, u)) {
     return std::nullopt;
   }
   return out;

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -18,14 +17,17 @@ namespace {
 using ir::Circuit;
 using ir::Operation;
 
-/// decompose_two_qubit_unitary results for the length of one pass run,
-/// keyed on the exact bits of the block unitary. The decomposition is
-/// pure, so a hit is exactly what a fresh call returns. Identical blocks
-/// repeat within a circuit, and every block a sweep leaves unchanged comes
-/// back in the next sweep.
+/// The staged resynthesis of every block unitary seen in one pass run,
+/// keyed on the exact bits of the unitary. Each stage is pure, so a hit
+/// holds what fresh stages would compute; the entry keeps every stage that
+/// has run, and runs a later one only when a block's cost asks for it.
+/// Identical blocks repeat within a circuit, and every block a sweep
+/// leaves unchanged comes back in the next sweep.
 class ResynthMemo {
  public:
-  const std::optional<Circuit>& decompose(const la::Mat4& u) {
+  /// The resynthesis of `u` when it has fewer gates than `cost`, else
+  /// nullptr; valid until the memo is destroyed.
+  const Circuit* replacement(const la::Mat4& u, GateCounts cost) {
     Key key;
     for (int i = 0; i < 16; ++i) {
       const la::cplx z = u(i / 4, i % 4);
@@ -34,12 +36,7 @@ class ResynthMemo {
       key[static_cast<std::size_t>(2 * i + 1)] =
           std::bit_cast<std::uint64_t>(z.imag());
     }
-    const auto hit = results_.find(key);
-    if (hit != results_.end()) {
-      return hit->second;
-    }
-    return results_.emplace(key, decompose_two_qubit_unitary(u))
-        .first->second;
+    return results_.try_emplace(key, u).first->second.replacement(cost);
   }
 
  private:
@@ -53,7 +50,7 @@ class ResynthMemo {
       return static_cast<std::size_t>(h ^ (h >> 32));
     }
   };
-  std::unordered_map<Key, std::optional<Circuit>, KeyHash> results_;
+  std::unordered_map<Key, StagedResynthesis, KeyHash> results_;
 };
 
 /// One consolidation sweep over the 2q blocks of `circuit`;
@@ -82,17 +79,10 @@ bool consolidate_once(Circuit& circuit, int min_two_qubit,
       }
       mini.append(op);
     }
-    const auto& resynth = memo.decompose(two_qubit_circuit_unitary(mini));
-    if (!resynth.has_value()) {
-      continue;
-    }
-    const int old_2q = blk.two_qubit_count;
-    const int old_total = static_cast<int>(blk.op_indices.size());
-    const int new_2q = resynth->two_qubit_gate_count();
-    const int new_total = resynth->gate_count();
-    const bool better =
-        new_2q < old_2q || (new_2q == old_2q && new_total < old_total);
-    if (!better) {
+    const Circuit* resynth = memo.replacement(
+        two_qubit_circuit_unitary(mini),
+        {blk.two_qubit_count, static_cast<int>(blk.op_indices.size())});
+    if (resynth == nullptr) {
       continue;
     }
     std::vector<Operation> mapped;

@@ -14,8 +14,6 @@ using la::kPi;
 using la::Mat2;
 using la::Mat4;
 
-constexpr double kCoordTol = 1e-7;
-
 /// Appends `m` as a u3 gate on `q` unless it is the identity (up to phase);
 /// the dropped phase is folded into the circuit's global phase.
 void emit_1q(ir::Circuit& circuit, const Mat2& m, int q) {
@@ -64,13 +62,108 @@ const la::KakDecomposition& canonical_swap() {
   return kSwap;
 }
 
-bool coords_match(const la::KakDecomposition& a,
+bool coords_match(double x, double y, double z,
                   const la::KakDecomposition& b) {
-  return std::abs(a.x - b.x) < kCoordTol && std::abs(a.y - b.y) < kCoordTol &&
-         std::abs(a.z - b.z) < kCoordTol;
+  return std::abs(x - b.x) < kCoordTol && std::abs(y - b.y) < kCoordTol &&
+         std::abs(z - b.z) < kCoordTol;
+}
+
+/// The circuit of a canonicalised KAK in its tier, before verification.
+/// Every 1q gate goes through emit_1q(), which may drop it; everything
+/// else is always emitted, which is what tier_floor() counts.
+ir::Circuit emit_tier(const la::KakDecomposition& kak, ResynthTier tier) {
+  ir::Circuit out(2, "resynth");
+  out.add_global_phase(kak.phase);
+  switch (tier) {
+    case ResynthTier::kLocal:
+      emit_1q(out, kak.k1_q0 * kak.k2_q0, 0);
+      emit_1q(out, kak.k1_q1 * kak.k2_q1, 1);
+      break;
+    case ResynthTier::kCx: {
+      // Locally equivalent to CX. With U = K1 N K2 and CX = L1 N L2 (same
+      // canonical N): U = K1 L1^dag CX L2^dag K2.
+      const auto& cx = canonical_cx();
+      emit_1q(out, cx.k2_q0.adjoint() * kak.k2_q0, 0);
+      emit_1q(out, cx.k2_q1.adjoint() * kak.k2_q1, 1);
+      out.cx(0, 1);
+      emit_1q(out, kak.k1_q0 * cx.k1_q0.adjoint(), 0);
+      emit_1q(out, kak.k1_q1 * cx.k1_q1.adjoint(), 1);
+      out.add_global_phase(-cx.phase);
+      break;
+    }
+    case ResynthTier::kSwap: {
+      const auto& sw = canonical_swap();
+      emit_1q(out, sw.k2_q0.adjoint() * kak.k2_q0, 0);
+      emit_1q(out, sw.k2_q1.adjoint() * kak.k2_q1, 1);
+      out.cx(0, 1);
+      out.cx(1, 0);
+      out.cx(0, 1);
+      emit_1q(out, kak.k1_q0 * sw.k1_q0.adjoint(), 0);
+      emit_1q(out, kak.k1_q1 * sw.k1_q1.adjoint(), 1);
+      out.add_global_phase(-sw.phase);
+      break;
+    }
+    case ResynthTier::kZeroZ: {
+      // N(x, y, 0) = (V^dag (x) V^dag) N(x, 0, y) (V (x) V) with
+      // V = Rx(pi/2): 2 CX.
+      const Mat2 v = la::rx_mat(kPi / 2.0);
+      const Mat2 vd = v.adjoint();
+      emit_1q(out, v * kak.k2_q0, 0);
+      emit_1q(out, v * kak.k2_q1, 1);
+      emit_canonical_x0z(out, kak.x, kak.y);
+      emit_1q(out, kak.k1_q0 * vd, 0);
+      emit_1q(out, kak.k1_q1 * vd, 1);
+      break;
+    }
+    case ResynthTier::kGeneric: {
+      // N(x, y, z) = N(x, y, 0) * N(0, 0, z); the parts commute, so emit
+      // N(0, 0, z) first (it is applied first). The two V = Rx(pi/2)
+      // between them are never the identity.
+      const Mat2 v = la::rx_mat(kPi / 2.0);
+      const Mat2 vd = v.adjoint();
+      emit_1q(out, kak.k2_q0, 0);
+      emit_1q(out, kak.k2_q1, 1);
+      emit_canonical_x0z(out, 0.0, kak.z);  // N(0, 0, z)
+      emit_1q(out, v, 0);
+      emit_1q(out, v, 1);
+      emit_canonical_x0z(out, kak.x, kak.y);
+      emit_1q(out, kak.k1_q0 * vd, 0);
+      emit_1q(out, kak.k1_q1 * vd, 1);
+      break;
+    }
+  }
+  return out;
 }
 
 }  // namespace
+
+ResynthTier resynth_tier(double x, double y, double z) {
+  const bool x_zero = std::abs(x) < kCoordTol;
+  const bool y_zero = std::abs(y) < kCoordTol;
+  const bool z_zero = std::abs(z) < kCoordTol;
+  if (x_zero && y_zero && z_zero) {
+    return ResynthTier::kLocal;
+  }
+  if (coords_match(x, y, z, canonical_cx())) {
+    return ResynthTier::kCx;
+  }
+  if (coords_match(x, y, z, canonical_swap())) {
+    return ResynthTier::kSwap;
+  }
+  return z_zero ? ResynthTier::kZeroZ : ResynthTier::kGeneric;
+}
+
+bool fewer_gates(GateCounts a, GateCounts b) {
+  return a.two_qubit < b.two_qubit ||
+         (a.two_qubit == b.two_qubit && a.total < b.total);
+}
+
+GateCounts tier_floor(ResynthTier tier) {
+  // Indexed by ResynthTier: the CX gates of each emit_tier() branch, plus
+  // the two Rx(pi/2) the generic tier always emits.
+  constexpr GateCounts kFloors[] = {{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 6}};
+  return kFloors[static_cast<int>(tier)];
+}
 
 la::Mat4 two_qubit_circuit_unitary(const ir::Circuit& circuit) {
   Mat4 u = Mat4::identity();
@@ -95,69 +188,12 @@ la::Mat4 two_qubit_circuit_unitary(const ir::Circuit& circuit) {
 }
 
 std::optional<ir::Circuit> decompose_two_qubit_unitary(const la::Mat4& u) {
-  auto kak_opt = la::kak_decompose(u);
-  if (!kak_opt.has_value()) {
+  auto kak = la::kak_decompose(u);
+  if (!kak.has_value()) {
     return std::nullopt;
   }
-  la::KakDecomposition kak = *kak_opt;
-  kak.canonicalize();
-
-  ir::Circuit out(2, "resynth");
-  out.add_global_phase(kak.phase);
-
-  const bool x_zero = std::abs(kak.x) < kCoordTol;
-  const bool y_zero = std::abs(kak.y) < kCoordTol;
-  const bool z_zero = std::abs(kak.z) < kCoordTol;
-
-  if (x_zero && y_zero && z_zero) {
-    // Tier 0: locals only.
-    emit_1q(out, kak.k1_q0 * kak.k2_q0, 0);
-    emit_1q(out, kak.k1_q1 * kak.k2_q1, 1);
-  } else if (coords_match(kak, canonical_cx())) {
-    // Tier 1: locally equivalent to CX. With U = K1 N K2 and
-    // CX = L1 N L2 (same canonical N): U = K1 L1^dag CX L2^dag K2.
-    const auto& cx = canonical_cx();
-    emit_1q(out, cx.k2_q0.adjoint() * kak.k2_q0, 0);
-    emit_1q(out, cx.k2_q1.adjoint() * kak.k2_q1, 1);
-    out.cx(0, 1);
-    emit_1q(out, kak.k1_q0 * cx.k1_q0.adjoint(), 0);
-    emit_1q(out, kak.k1_q1 * cx.k1_q1.adjoint(), 1);
-    out.add_global_phase(-cx.phase);
-  } else if (coords_match(kak, canonical_swap())) {
-    // Tier 3: SWAP class (3 CX).
-    const auto& sw = canonical_swap();
-    emit_1q(out, sw.k2_q0.adjoint() * kak.k2_q0, 0);
-    emit_1q(out, sw.k2_q1.adjoint() * kak.k2_q1, 1);
-    out.cx(0, 1);
-    out.cx(1, 0);
-    out.cx(0, 1);
-    emit_1q(out, kak.k1_q0 * sw.k1_q0.adjoint(), 0);
-    emit_1q(out, kak.k1_q1 * sw.k1_q1.adjoint(), 1);
-    out.add_global_phase(-sw.phase);
-  } else if (z_zero) {
-    // Tier 2: N(x, y, 0) = (V^dag (x) V^dag) N(x, 0, y) (V (x) V) with
-    // V = Rx(pi/2): 2 CX.
-    const Mat2 v = la::rx_mat(kPi / 2.0);
-    const Mat2 vd = v.adjoint();
-    emit_1q(out, v * kak.k2_q0, 0);
-    emit_1q(out, v * kak.k2_q1, 1);
-    emit_canonical_x0z(out, kak.x, kak.y);
-    emit_1q(out, kak.k1_q0 * vd, 0);
-    emit_1q(out, kak.k1_q1 * vd, 1);
-  } else {
-    // Tier 4: generic. N(x, y, z) = N(x, y, 0) * N(0, 0, z); the parts
-    // commute, so emit N(0, 0, z) first (it is applied first).
-    const Mat2 v = la::rx_mat(kPi / 2.0);
-    const Mat2 vd = v.adjoint();
-    emit_1q(out, kak.k2_q0, 0);
-    emit_1q(out, kak.k2_q1, 1);
-    emit_canonical_x0z(out, 0.0, kak.z);  // N(0, 0, z)
-    emit_1q(out, v, 0);
-    emit_1q(out, v, 1);
-    emit_canonical_x0z(out, kak.x, kak.y);
-    emit_1q(out, kak.k1_q0 * vd, 0);
-    emit_1q(out, kak.k1_q1 * vd, 1);
-  }
+  kak->canonicalize();
+  ir::Circuit out = emit_tier(*kak, resynth_tier(kak->x, kak->y, kak->z));
 
   // Verification gate: never hand back a wrong circuit.
   const Mat4 rebuilt = two_qubit_circuit_unitary(out);
@@ -165,6 +201,37 @@ std::optional<ir::Circuit> decompose_two_qubit_unitary(const la::Mat4& u) {
     return std::nullopt;
   }
   return out;
+}
+
+StagedResynthesis::StagedResynthesis(const la::Mat4& u)
+    : u_(u), core_(la::kak_core(u)) {
+  if (core_.has_value()) {
+    const la::WeylMoves moves = la::weyl_moves(core_->x, core_->y, core_->z);
+    tier_ = resynth_tier(moves.x, moves.y, moves.z);
+  }
+}
+
+const ir::Circuit* StagedResynthesis::replacement(GateCounts cost) {
+  if (!core_.has_value() || !fewer_gates(tier_floor(tier_), cost)) {
+    return nullptr;
+  }
+  if (!counted_) {
+    counted_ = true;
+    auto kak = la::kak_factor_locals(*core_);
+    if (kak.has_value()) {
+      kak->canonicalize();
+      const ir::Circuit c = emit_tier(*kak, tier_);
+      counts_ = GateCounts{c.two_qubit_gate_count(), c.gate_count()};
+    }
+  }
+  if (!counts_.has_value() || !fewer_gates(*counts_, cost)) {
+    return nullptr;
+  }
+  if (!decomposed_) {
+    decomposed_ = true;
+    circuit_ = decompose_two_qubit_unitary(u_);
+  }
+  return circuit_.has_value() ? &*circuit_ : nullptr;
 }
 
 }  // namespace qrc::passes

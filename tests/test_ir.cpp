@@ -671,6 +671,70 @@ TEST(QasmTest, RejectsMalformedInputWithoutUncaughtStdExceptions) {
   }
 }
 
+TEST(QasmTest, ExpressionNestingIsCappedAt128Levels) {
+  // Parentheses and unary signs recurse; without a cap, 50,000 nested
+  // parentheses or 300,000 minus signs overflowed the stack.
+  const auto rz_of = [](const std::string& expr) {
+    return "OPENQASM 2.0;\nqreg q[1];\nrz(" + expr + ") q[0];\n";
+  };
+  const auto parens = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '(') + "0.5" +
+           std::string(static_cast<std::size_t>(depth), ')');
+  };
+  const auto minuses = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '-') + "0.5";
+  };
+  Circuit c = qrc::ir::from_qasm(rz_of(parens(128)));
+  ASSERT_EQ(c.size(), 1U);
+  EXPECT_EQ(c.ops()[0].param(0), 0.5);
+  c = qrc::ir::from_qasm(rz_of(minuses(128)));
+  ASSERT_EQ(c.size(), 1U);
+  EXPECT_EQ(c.ops()[0].param(0), 0.5);
+  c = qrc::ir::from_qasm(rz_of("-(" + minuses(126) + ")"));
+  EXPECT_EQ(c.ops()[0].param(0), -0.5);
+
+  for (const std::string& expr :
+       {parens(129), minuses(129), parens(20000), parens(50000),
+        minuses(300000), "-(" + minuses(127) + ")"}) {
+    try {
+      (void)qrc::ir::from_qasm(rz_of(expr));
+      ADD_FAILURE() << "expected a parse error for depth " << expr.size();
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("qasm: parse error at line 3"), std::string::npos)
+          << msg.substr(0, 200);
+      EXPECT_NE(msg.find("nested deeper than 128"), std::string::npos)
+          << msg.substr(0, 200);
+    }
+  }
+}
+
+TEST(QasmTest, NonFiniteParametersAreRejected) {
+  // These used to parse to NaN or +-inf; the compile then dropped the
+  // gates and verification still called the result equivalent.
+  for (const char* stmt :
+       {"rz(0/0) q[0];", "cp(1/0) q[0],q[1];", "rz(-1e308*10) q[0];",
+        "rz(1e308+1e308) q[0];", "rz(1/(1/0)) q[0];",
+        "u3(0.1,-1e308-1e308,0.2) q[1];", "rx(pi/0*0) q[0];"}) {
+    const std::string text =
+        std::string("OPENQASM 2.0;\nqreg q[2];\n") + stmt + "\n";
+    try {
+      (void)qrc::ir::from_qasm(text);
+      ADD_FAILURE() << "expected a parse error for " << stmt;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("qasm: parse error at line 3"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("not finite"), std::string::npos) << msg;
+    }
+  }
+  // Large finite values still parse.
+  const Circuit c = qrc::ir::from_qasm(
+      "OPENQASM 2.0;\nqreg q[1];\nrz(1e308*1.5-1e308) q[0];\n");
+  ASSERT_EQ(c.size(), 1U);
+  EXPECT_TRUE(std::isfinite(c.ops()[0].param(0)));
+}
+
 TEST(QasmTest, MeasureOfAWholeRegisterBroadcasts) {
   // Qiskit and MQT Bench exports end with `measure q -> c;`.
   const Circuit c = qrc::ir::from_qasm(

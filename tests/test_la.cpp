@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "la/euler.hpp"
 #include "la/mat2.hpp"
@@ -369,6 +372,69 @@ TEST(KakTest, CanonicalizePreservesUnitaryAndReachesWeylChamber) {
     EXPECT_GE(kak->x, kak->y - 1e-9) << "iteration " << i;
     EXPECT_GE(kak->y, std::abs(kak->z) - 1e-9) << "iteration " << i;
     EXPECT_GE(kak->y, -1e-9) << "iteration " << i;
+  }
+}
+
+/// The exact bits of a 2x2 matrix, for bitwise comparison.
+std::vector<std::uint64_t> mat2_bits(const Mat2& m) {
+  std::vector<std::uint64_t> bits;
+  for (int i = 0; i < 4; ++i) {
+    bits.push_back(std::bit_cast<std::uint64_t>(m(i / 2, i % 2).real()));
+    bits.push_back(std::bit_cast<std::uint64_t>(m(i / 2, i % 2).imag()));
+  }
+  return bits;
+}
+
+TEST(KakTest, StagesMatchTheWholeDecompositionBitForBit) {
+  // kak_core() then weyl_moves() must reach the canonical coordinates of
+  // kak_decompose() then canonicalize() bit for bit, and
+  // kak_factor_locals() then canonicalize() its locals: the staged
+  // resynthesis gate relies on both to decide exactly.
+  std::mt19937_64 rng(59);
+  std::vector<Mat4> inputs = {Mat4::identity(), qrc::la::cx01_mat(),
+                              qrc::la::cz_mat(), qrc::la::swap_mat(),
+                              qrc::la::iswap_mat()};
+  const std::size_t named = inputs.size();
+  for (std::size_t i = 0; i < named; ++i) {
+    inputs.push_back(qrc::la::kron(random_unitary2(rng),
+                                   random_unitary2(rng)) *
+                     inputs[i] *
+                     qrc::la::kron(random_unitary2(rng),
+                                   random_unitary2(rng)));
+  }
+  for (int i = 0; i < 200; ++i) {
+    inputs.push_back(random_unitary4(rng));
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Mat4& u = inputs[i];
+    auto whole = qrc::la::kak_decompose(u);
+    const auto core = qrc::la::kak_core(u);
+    ASSERT_TRUE(whole.has_value()) << "input " << i;
+    ASSERT_TRUE(core.has_value()) << "input " << i;
+    whole->canonicalize();
+
+    const auto moves = qrc::la::weyl_moves(core->x, core->y, core->z);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(moves.x),
+              std::bit_cast<std::uint64_t>(whole->x))
+        << "input " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(moves.y),
+              std::bit_cast<std::uint64_t>(whole->y))
+        << "input " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(moves.z),
+              std::bit_cast<std::uint64_t>(whole->z))
+        << "input " << i;
+
+    auto locals = qrc::la::kak_factor_locals(*core);
+    ASSERT_TRUE(locals.has_value()) << "input " << i;
+    locals->canonicalize();
+    EXPECT_EQ(mat2_bits(locals->k1_q1), mat2_bits(whole->k1_q1))
+        << "input " << i;
+    EXPECT_EQ(mat2_bits(locals->k1_q0), mat2_bits(whole->k1_q0))
+        << "input " << i;
+    EXPECT_EQ(mat2_bits(locals->k2_q1), mat2_bits(whole->k2_q1))
+        << "input " << i;
+    EXPECT_EQ(mat2_bits(locals->k2_q0), mat2_bits(whole->k2_q0))
+        << "input " << i;
   }
 }
 

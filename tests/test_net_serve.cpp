@@ -687,6 +687,24 @@ TEST(StdioServeTest, OneConnectionAnswersCompileAndControlOps) {
   EXPECT_EQ(error_code(*garbled), "bad_request");
 }
 
+TEST(StdioServeTest, DeeplyNestedExpressionIsABadRequestNotACrash) {
+  // A 100 KB frame whose rz angle nests 50,000 parentheses used to
+  // overflow the stack of the parser and kill `qrc serve` with SIGSEGV.
+  StdioServer stdio;
+  const std::string deep =
+      "OPENQASM 2.0;\nqreg q[1];\nrz(" + std::string(50000, '(') + "0.5" +
+      std::string(50000, ')') + ") q[0];\n";
+  stdio.send("{\"v\":1,\"op\":\"compile\",\"id\":\"deep\",\"qasm\":" +
+             qrc::service::json_quote(deep) + "}");
+  stdio.send("{\"v\":1,\"op\":\"ping\",\"id\":\"after\"}");
+  const auto frames = stdio.finish();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(str_field(frames[0], "id"), "deep");
+  EXPECT_EQ(error_code(frames[0]), "bad_request");
+  EXPECT_EQ(str_field(frames[1], "id"), "after");
+  EXPECT_EQ(str_field(frames[1], "op"), "ping");
+}
+
 TEST(StdioServeTest, HalfCloseAnswersEverythingInFlightThenCloses) {
   // The accepted-connection cap does not apply: the handed-in connection
   // is the only one, so a piped batch is answered in full.

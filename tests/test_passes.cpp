@@ -13,6 +13,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <string_view>
 
 #include "bench_suite/benchmarks.hpp"
 #include "device/library.hpp"
@@ -314,6 +315,99 @@ TEST(TwoQubitDecompTest, SwapClassUsesThreeCx) {
   EXPECT_LE(resynth->two_qubit_gate_count(), 3);
 }
 
+/// Unitaries whose Weyl coordinates lie within 1e-9 of a tier boundary:
+/// kCoordTol around the local point and the z = 0 slice, pi/4 +- kCoordTol
+/// around the CX and SWAP points. Each comes bare and dressed in random
+/// locals. The identity, CX and SWAP lead the list: their circuits reach
+/// their tier's floor exactly, so a floor set too high shows.
+std::vector<qrc::la::Mat4> tier_boundary_unitaries() {
+  std::mt19937_64 rng(61);
+  std::uniform_real_distribution<double> ang(-kPi, kPi);
+  const auto local = [&] {
+    return qrc::la::kron(qrc::la::u3_mat(ang(rng), ang(rng), ang(rng)),
+                         qrc::la::u3_mat(ang(rng), ang(rng), ang(rng)));
+  };
+  const double t = qrc::passes::kCoordTol;
+  const double q = kPi / 4.0;
+  std::vector<qrc::la::Mat4> out = {qrc::la::Mat4::identity(),
+                                    qrc::la::cx01_mat(),
+                                    qrc::la::swap_mat()};
+  for (const double d : {-1e-9, -1e-10, 0.0, 1e-10, 1e-9}) {
+    const std::array<double, 3> coords[] = {
+        {t + d, 0.0, 0.0},     {t + d, t + d, t + d},  // local point
+        {q - t + d, 0.0, 0.0}, {q + t + d, 0.0, 0.0},  // CX point
+        {q, t + d, 0.0},       {q, 0.0, t + d},
+        {q, q, q - t + d},     {q - t + d, q, q},      // SWAP point
+        {q, q - t + d, q},     {0.5, 0.3, t + d},      // z = 0 slice
+        {0.5, 0.3, -t - d},    {q - t + d, 0.3, t + d},
+    };
+    for (const auto& [x, y, z] : coords) {
+      const qrc::la::Mat4 n = qrc::la::canonical_gate(x, y, z);
+      out.push_back(n);
+      out.push_back(local() * n * local());
+    }
+  }
+  return out;
+}
+
+TEST(TwoQubitDecompTest, StagedGateMatchesTheReferenceAtTierBoundaries) {
+  // StagedResynthesis must keep exactly the circuits that
+  // decompose_two_qubit_unitary() plus the fewer-gates gate keep, bit for
+  // bit, for every cost, whichever order the costs are asked in: each
+  // later stage runs once and is then reused.
+  using qrc::passes::GateCounts;
+  std::vector<GateCounts> costs;
+  for (int two_qubit = 0; two_qubit <= 5; ++two_qubit) {
+    for (int total = two_qubit; total <= 14; ++total) {
+      costs.push_back({two_qubit, total});
+    }
+  }
+  std::set<int> cx_counts;
+  int kept = 0;
+  int rejected = 0;
+  const auto boundary = tier_boundary_unitaries();
+  for (std::size_t i = 0; i < boundary.size(); ++i) {
+    const auto& u = boundary[i];
+    const auto want = qrc::passes::decompose_two_qubit_unitary(u);
+    ASSERT_TRUE(want.has_value()) << "unitary " << i;
+    const GateCounts want_counts{want->two_qubit_gate_count(),
+                                 want->gate_count()};
+    cx_counts.insert(want_counts.two_qubit);
+
+    // The tier fixed by the core's coordinates bounds the circuit.
+    const auto core = qrc::la::kak_core(u);
+    ASSERT_TRUE(core.has_value()) << "unitary " << i;
+    const auto moves = qrc::la::weyl_moves(core->x, core->y, core->z);
+    const GateCounts floor = qrc::passes::tier_floor(
+        qrc::passes::resynth_tier(moves.x, moves.y, moves.z));
+    EXPECT_EQ(want_counts.two_qubit, floor.two_qubit) << "unitary " << i;
+    EXPECT_GE(want_counts.total, floor.total) << "unitary " << i;
+
+    qrc::passes::StagedResynthesis ascending(u);
+    qrc::passes::StagedResynthesis descending(u);
+    for (std::size_t k = 0; k < costs.size(); ++k) {
+      for (auto* staged : {&ascending, &descending}) {
+        const GateCounts cost =
+            staged == &ascending ? costs[k] : costs[costs.size() - 1 - k];
+        const Circuit* got = staged->replacement(cost);
+        const bool keep = qrc::passes::fewer_gates(want_counts, cost);
+        ASSERT_EQ(got != nullptr, keep)
+            << "unitary " << i << " cost (" << cost.two_qubit << ", "
+            << cost.total << ")";
+        if (got != nullptr) {
+          EXPECT_EQ(qrc::ir::canonical_key(*got),
+                    qrc::ir::canonical_key(*want))
+              << "unitary " << i;
+        }
+        (keep ? kept : rejected) += 1;
+      }
+    }
+  }
+  EXPECT_EQ(cx_counts, (std::set<int>{0, 1, 2, 3, 4}));
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // ------------------------------------------------------ basis translator --
 
 TEST(BasisTranslatorTest, TranslatesToAllFourPlatforms) {
@@ -551,8 +645,9 @@ TEST(LayoutTest, SabreLayoutMatchesTheReferenceWithThreeQubitGates) {
   EXPECT_GT(swap_free, 0);
 }
 
-/// FNV-1a-64 over integers only, fed byte by byte in a fixed order, so a
-/// digest does not depend on the platform's libm or byte order.
+/// FNV-1a-64 fed byte by byte in a fixed order, so a digest does not
+/// depend on the platform's byte order. A digest of integers alone does
+/// not depend on its libm either; text carries whatever libm computed.
 class IntDigest {
  public:
   void add(std::int64_t v) {
@@ -565,6 +660,12 @@ class IntDigest {
     add(static_cast<std::int64_t>(v.size()));
     for (const int x : v) {
       add(x);
+    }
+  }
+  void add(std::string_view text) {
+    add(static_cast<std::int64_t>(text.size()));
+    for (const char c : text) {
+      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
     }
   }
   [[nodiscard]] std::uint64_t value() const { return hash_; }
@@ -621,6 +722,53 @@ TEST(SabreGoldenTest, LayoutAndRoutingMatchRecordedDigests) {
     if (id != DeviceId::kIonqHarmony) {  // all-to-all: never swaps
       EXPECT_GT(swaps, 0) << dev.name();
     }
+  }
+}
+
+TEST(PassGoldenTest, ResynthesisPassesMatchRecordedDigests) {
+  // ConsolidateBlocks, PeepholeOptimise2Q and FullPeepholeOptimise over
+  // the benchmark families, raw and after BasisTranslator for
+  // ibmq_washington. Each digest covers whether the pass changed the
+  // circuit and the canonical key of its output, whose hex-float angles
+  // are exact. The angles come through libm, so the digests are those of
+  // glibc on x86-64, for baseline and x86-64-v3 builds alike (the library
+  // builds with -fno-tree-slp-vectorize, see CMakeLists.txt). They were
+  // recorded before the staged resynthesis early exit, which pins it to
+  // the unstaged decisions and circuits.
+  const qrc::passes::ConsolidateBlocks consolidate;
+  const qrc::passes::PeepholeOptimise2Q peephole;
+  const qrc::passes::FullPeepholeOptimise full;
+  const std::vector<std::pair<const qrc::passes::Pass*, std::uint64_t>>
+      expected = {
+          {&consolidate, 0x166fecf36d3dda16ULL},
+          {&peephole, 0x429a3149127b9890ULL},
+          {&full, 0xe6cf4380b4d7c698ULL},
+      };
+  PassContext native_ctx;
+  native_ctx.device = &qrc::device::get_device(DeviceId::kIbmqWashington);
+  std::vector<std::pair<Circuit, PassContext>> inputs;
+  for (const auto family : qrc::bench::all_families()) {
+    for (const int n : {2, 3, 5, 8, 13, 20}) {
+      const Circuit raw = qrc::bench::make_benchmark(family, n, 1);
+      Circuit native = raw;
+      (void)qrc::passes::BasisTranslator().run(native, native_ctx);
+      inputs.emplace_back(raw, PassContext{});
+      inputs.emplace_back(std::move(native), native_ctx);
+    }
+  }
+  for (const auto& [pass, want] : expected) {
+    IntDigest digest;
+    int changed = 0;
+    for (const auto& [input, ctx] : inputs) {
+      Circuit c = input;
+      const bool did_change = pass->run(c, ctx);
+      digest.add(did_change ? 1 : 0);
+      digest.add(qrc::ir::canonical_key(c));
+      changed += did_change ? 1 : 0;
+    }
+    EXPECT_EQ(digest.value(), want)
+        << pass->name() << " digest 0x" << std::hex << digest.value();
+    EXPECT_GT(changed, 0) << pass->name();
   }
 }
 

@@ -2,10 +2,11 @@
 // full deterministic pass pipeline (synthesis, SABRE layout/routing,
 // re-synthesis, optimization tail including the measurement-sensitive
 // RemoveDiagonalGatesBeforeMeasure) on rotating library devices, and every
-// compiled circuit must verify `equivalent` against its input. Deliberate
-// single-gate mutations of the compiled circuits must be flagged
-// `not_equivalent` (>= 95% overall; a mutant accepted with confidence 1.0
-// — i.e. by an exact tier — is an outright checker bug).
+// compiled circuit must verify `equivalent` against its input, also after
+// a round trip through OpenQASM text. Deliberate single-gate mutations of
+// the compiled circuits must be flagged `not_equivalent` (>= 95% overall;
+// a mutant accepted with confidence 1.0 — i.e. by an exact tier — is an
+// outright checker bug).
 //
 // This file keeps the grid moderate so it rides in every CI leg including
 // ASan/UBSan; the exhaustive 2-12 qubit sweep over all devices lives in
@@ -21,6 +22,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "core/predictor.hpp"
 #include "device/library.hpp"
+#include "ir/qasm.hpp"
 #include "verify/equivalence.hpp"
 #include "verify/mutate.hpp"
 
@@ -49,6 +51,19 @@ TEST(VerifyFuzzTest, EveryFamilyCompilesAndVerifiesOnRotatingDevices) {
         << qrc::verify::method_name(verdict.method) << ": "
         << verdict.detail;
     EXPECT_NE(verdict.method, qrc::verify::Method::kNone);
+
+    // The served form of the result: OpenQASM text, parsed back. The
+    // emitter prints 15 significant digits and drops the global phase,
+    // and the round trip must still verify.
+    CompilationResult tripped = result;
+    tripped.circuit = qrc::ir::from_qasm(qrc::ir::to_qasm(result.circuit));
+    const auto tripped_verdict =
+        qrc::core::verify_compilation(circuit, tripped);
+    EXPECT_EQ(tripped_verdict.verdict, Verdict::kEquivalent)
+        << circuit.name() << " on " << dev->name()
+        << " after a QASM round trip via "
+        << qrc::verify::method_name(tripped_verdict.method) << ": "
+        << tripped_verdict.detail;
     ++checked;
   }
   EXPECT_EQ(checked, qrc::bench::kNumFamilies);
