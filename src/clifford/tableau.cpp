@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "la/complex.hpp"
-#include "obs/perf_counters.hpp"
+#include "obs/stage.hpp"
 
 namespace qrc::clifford {
 
@@ -213,7 +213,7 @@ bool Tableau::apply(const Operation& op) {
 }
 
 std::optional<Tableau> Tableau::from_circuit(const ir::Circuit& circuit) {
-  obs::PerfScope perf(obs::PerfKernel::kTableauSweep);
+  obs::Stage stage(obs::StageId::kTableauSweep);
   Tableau t(std::max(1, circuit.num_qubits()));
   for (const Operation& op : circuit.ops()) {
     if (!t.apply(op)) {

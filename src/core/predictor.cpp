@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "core/rollout.hpp"
-#include "obs/trace.hpp"
+#include "obs/stage.hpp"
 #include "rl/thread_pool.hpp"
 #include "rl/vec_env.hpp"
 #include "search/engine.hpp"
@@ -161,7 +161,7 @@ std::vector<CompilationResult> Predictor::compile_all(
 
   // The batched greedy rollout core: the result, or the search baseline.
   const auto episodes = [&] {
-    obs::AmbientSpan span("greedy_rollout");
+    obs::Stage stage(obs::StageId::kGreedyRollout);
     return run_greedy_episodes(agent_->policy(), circuits, env_config,
                                options.masked_feature, pool);
   }();
@@ -212,7 +212,7 @@ std::vector<CompilationResult> Predictor::compile_all(
         };
       }
       search::SearchResult searched = [&] {
-        obs::AmbientSpan span("search_lookahead");
+        obs::Stage stage(obs::StageId::kSearchLookahead);
         return search::run_search(circuits[c], context, *options.search,
                                   pool, per_circuit);
       }();
@@ -241,7 +241,7 @@ std::vector<CompilationResult> Predictor::compile_all(
   if (options.verify.has_value()) {
     // Post-compile verification gate: independent per circuit, so the
     // checks spread over the same worker pool as the rollout.
-    obs::AmbientSpan span("verify_gate");
+    obs::Stage stage(obs::StageId::kVerifyGate);
     pool.parallel_for(num_circuits, [&](int c) {
       auto& result = results[static_cast<std::size_t>(c)];
       result.verification =

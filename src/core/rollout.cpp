@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/perf_counters.hpp"
-#include "obs/trace.hpp"
+#include "obs/stage.hpp"
 #include "reward/reward.hpp"
 #include "rl/categorical.hpp"
 #include "rl/mlp.hpp"
@@ -75,8 +74,7 @@ std::vector<GreedyEpisode> run_greedy_episodes(
       mask_batch[i] = registry.mask(ep.out.state);
     }
     {
-      obs::DetailTimer timer("policy_forward");
-      obs::PerfScope perf(obs::PerfKernel::kMlpForward);
+      obs::Stage stage(obs::StageId::kPolicyForward);
       policy.forward_batch(obs_batch, n_live, logits_batch, &pool);
     }
     const rl::BatchedMaskedCategorical dist(logits_batch, mask_batch);
@@ -110,8 +108,7 @@ std::vector<GreedyEpisode> run_greedy_episodes(
     const std::uint64_t seed =
         CompilationEnv::step_seed(env_config.seed, 1, step);
     {
-      obs::DetailTimer timer("env_step");
-      obs::PerfScope perf(obs::PerfKernel::kEnvStep);
+      obs::Stage stage(obs::StageId::kEnvStep);
       pool.parallel_for(static_cast<int>(stepping.size()), [&](int i) {
         auto& ep = episodes[static_cast<std::size_t>(
             stepping[static_cast<std::size_t>(i)])];

@@ -19,9 +19,9 @@
 #include "obs/build_info.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/process_stats.hpp"
 #include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 #include "rl/mlp.hpp"
 #include "service/jsonl.hpp"
@@ -709,13 +709,13 @@ std::string Server::render_statusz() const {
          std::string(obs::perf_enabled() ? "enabled" : "disabled") +
          std::string(obs::perf_available() ? ", hardware available"
                                            : ", hardware unavailable");
-  const auto mlp = obs::perf_kernel_totals(obs::PerfKernel::kMlpForward);
-  if (mlp.cycles > 0) {
+  const auto forward = obs::stage_totals(obs::StageId::kPolicyForward);
+  if (forward.cycles > 0) {
     char ipc[32];
     std::snprintf(ipc, sizeof(ipc), "%.2f",
-                  static_cast<double>(mlp.instructions) /
-                      static_cast<double>(mlp.cycles));
-    out += std::string(", mlp_forward ipc ") + ipc;
+                  static_cast<double>(forward.instructions) /
+                      static_cast<double>(forward.cycles));
+    out += std::string(", policy_forward ipc ") + ipc;
   }
   out += "\n";
   const obs::ProcessStats proc = obs::sample_process_stats();

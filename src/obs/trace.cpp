@@ -40,21 +40,6 @@ std::int64_t TraceContext::now_us() const {
   return since_epoch_us(std::chrono::steady_clock::now());
 }
 
-int TraceContext::begin_span(std::string_view name) {
-  const std::int64_t start = now_us();
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() >= max_spans_) {
-    ++dropped_;
-    return kDropped;
-  }
-  Span span;
-  span.name = std::string(name);
-  span.parent = ambient_parent_;
-  span.start_us = start;
-  spans_.push_back(std::move(span));
-  return static_cast<int>(spans_.size()) - 1;
-}
-
 int TraceContext::begin_span(std::string_view name, int parent) {
   const std::int64_t start = now_us();
   const std::lock_guard<std::mutex> lock(mu_);
@@ -64,7 +49,9 @@ int TraceContext::begin_span(std::string_view name, int parent) {
   }
   Span span;
   span.name = std::string(name);
-  span.parent = parent >= 0 ? parent : kNoParent;
+  span.parent = parent == kAmbientParent ? ambient_parent_
+                : parent >= 0            ? parent
+                                         : kNoParent;
   span.start_us = start;
   spans_.push_back(std::move(span));
   return static_cast<int>(spans_.size()) - 1;

@@ -1,20 +1,22 @@
 /// \file trace.hpp
 /// \brief Per-request tracing: a TraceContext allocated at frame decode
 ///        carries a request id through lanes, the batched rollout core,
-///        search, and verify dispatch, recording scoped spans into a
-///        bounded buffer renderable as a JSON span tree.
+///        search, and verify dispatch, recording spans into a bounded
+///        buffer renderable as a JSON span tree.
 ///
 /// Spans are recorded only while a trace context is ambient, that is for
-/// requests that asked for a trace and for `qrc compile --trace`. Coarse
-/// spans (queue wait, batch, rollout, search, verify) cost a handful of
-/// clock reads per request; detail spans (per-step policy forward / env
-/// step, search leaf evaluation) come from DetailTimer. Untraced, either
-/// costs one TLS load and a branch.
+/// requests that asked for a trace and for `qrc compile --trace`. Every
+/// seam (rollout, policy forward, env step, search, verify tiers, ...) is
+/// an `obs::Stage` (stage.hpp), which opens its span here nested under
+/// the innermost open Stage; untraced, that costs one TLS load and a
+/// branch. Intervals that are not scopes (decode, queue wait, cache
+/// lookup) are recorded with add_span().
 ///
 /// Threading: a TraceContext is internally locked, so lane threads and
 /// pool workers may append concurrently. The thread-local `current()`
 /// pointer makes a context ambient for code (rollout core, search engine)
-/// that has no request plumbing of its own.
+/// that has no request plumbing of its own. WorkerPool jobs run with no
+/// ambient context, so a span tree never depends on the pool's width.
 #pragma once
 
 #include <chrono>
@@ -33,6 +35,8 @@ class TraceContext {
   /// Pseudo-id returned when the span buffer is full; all operations on
   /// it are no-ops and the drop is counted.
   static constexpr int kDropped = -2;
+  /// Parent argument meaning "the context's ambient parent".
+  static constexpr int kAmbientParent = -3;
   static constexpr std::size_t kDefaultMaxSpans = 512;
 
   explicit TraceContext(std::string request_id,
@@ -52,10 +56,10 @@ class TraceContext {
       std::chrono::steady_clock::time_point tp) const;
   [[nodiscard]] std::int64_t now_us() const;
 
-  /// Opens a span starting now under the ambient parent; returns its id
-  /// (or kDropped when the buffer is full).
-  int begin_span(std::string_view name);
-  int begin_span(std::string_view name, int parent);
+  /// Opens a span starting now under `parent` (a span id, kNoParent, or
+  /// the ambient parent); returns its id (or kDropped when the buffer is
+  /// full).
+  int begin_span(std::string_view name, int parent = kAmbientParent);
   void end_span(int id);
   /// Records an already-timed span (start/duration in epoch-relative us).
   int add_span(std::string_view name, int parent, std::int64_t start_us,
@@ -69,8 +73,8 @@ class TraceContext {
   void attr(int id, std::string_view key, double value);
   void attr(int id, std::string_view key, bool value);
 
-  /// Default parent for begin_span(name) — lets a caller hang all
-  /// subsequently recorded spans under e.g. the request's root span.
+  /// The ambient parent: lets a caller hang all subsequently opened
+  /// top-level spans under e.g. the request's root span.
   void set_ambient_parent(int id);
 
   /// Copies every span of `other` under `parent`, rebasing timestamps
@@ -87,7 +91,7 @@ class TraceContext {
   /// Human-readable indented tree for `qrc compile --trace`.
   [[nodiscard]] std::string to_text() const;
 
-  /// Thread-local ambient context consumed by DetailTimer / AmbientSpan.
+  /// Thread-local ambient context consumed by obs::Stage.
   [[nodiscard]] static TraceContext* current();
   static void set_current(TraceContext* ctx);
 
@@ -111,32 +115,6 @@ class TraceContext {
   std::uint64_t dropped_ = 0;
   int ambient_parent_ = kNoParent;
 };
-
-/// Coarse RAII span on the thread-ambient context; records only when a
-/// trace is active on this thread (one TLS load + branch otherwise).
-class AmbientSpan {
- public:
-  explicit AmbientSpan(std::string_view name) : ctx_(TraceContext::current()) {
-    if (ctx_ != nullptr) id_ = ctx_->begin_span(name);
-  }
-  ~AmbientSpan() {
-    if (ctx_ != nullptr) ctx_->end_span(id_);
-  }
-  AmbientSpan(const AmbientSpan&) = delete;
-  AmbientSpan& operator=(const AmbientSpan&) = delete;
-  template <typename V>
-  void attr(std::string_view key, V value) {
-    if (ctx_ != nullptr) ctx_->attr(id_, key, value);
-  }
-
- private:
-  TraceContext* ctx_;
-  int id_ = TraceContext::kDropped;
-};
-
-/// Hot-path span (per inference step, per env step, per leaf batch): an
-/// AmbientSpan, so it records exactly when the request is traced.
-using DetailTimer = AmbientSpan;
 
 /// RAII setter for the thread-local current(), restoring the previous
 /// context on scope exit.

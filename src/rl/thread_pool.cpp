@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace qrc::rl {
 
@@ -72,6 +73,9 @@ void WorkerPool::parallel_for(int n, const std::function<void(int)>& fn) {
   if (n <= 0) {
     return;
   }
+  // Workers have no ambient trace; the caller's share runs without one
+  // too, so which thread ran an index never changes a span tree.
+  const obs::CurrentTraceScope untraced(nullptr);
   if (threads_.empty()) {
     for (int i = 0; i < n; ++i) {
       fn(i);

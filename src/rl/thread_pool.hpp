@@ -32,7 +32,9 @@ class WorkerPool {
   /// Runs fn(i) for every i in [0, n), distributing indices across the
   /// pool (the calling thread participates). Blocks until every index is
   /// done. If any invocation throws, the first exception is rethrown on
-  /// the caller after the job completes.
+  /// the caller after the job completes. Indices run with no ambient
+  /// trace context (obs::TraceContext::current() is null), on the caller
+  /// too.
   ///
   /// fn must only write to state owned by its index; under that contract
   /// the outcome is deterministic for any pool size.

@@ -1,12 +1,12 @@
 // Beam search over the compilation MDP: a width-K frontier advances one
 // MDP step per iteration. Every frontier state gets ONE batched policy
-// forward (priors), each entry expands its top-`branch` actions, and all
+// forward (priors), each entry expands its top-K actions, and all
 // surviving children get ONE batched value forward; children are pruned
 // to the K best by cumulative log prior + value bootstrap. The
 // cycle-avoidance bookkeeping (per-path visited fingerprints, exhausted
 // actions, retry-next-best) mirrors the greedy rollout core exactly, so
-// beam(1) with the default branch reproduces Predictor::compile
-// bit-for-bit — including which no-op actions it burns steps on.
+// beam(1) reproduces Predictor::compile bit-for-bit — including which
+// no-op actions it burns steps on.
 
 #include <algorithm>
 #include <cmath>
@@ -14,13 +14,16 @@
 #include <utility>
 
 #include "core/rollout.hpp"
-#include "obs/perf_counters.hpp"
+#include "obs/stage.hpp"
 #include "rl/thread_pool.hpp"
 #include "search/internal.hpp"
 
 namespace qrc::search::internal {
 
 namespace {
+
+/// Weight of the value-network bootstrap in the pruning score.
+constexpr double kValueWeight = 1.0;
 
 struct BeamEntry {
   core::CompilationState state;
@@ -56,12 +59,8 @@ SearchResult beam_search(const ir::Circuit& circuit,
   const auto start = std::chrono::steady_clock::now();
   const core::ActionRegistry& registry = core::ActionRegistry::instance();
   const int width = options.beam_width;
-  const int branch =
-      options.beam_branch > 0 ? options.beam_branch : options.beam_width;
-  const int max_depth =
-      options.max_depth > 0 ? options.max_depth : context.max_steps;
-  const std::uint64_t seed =
-      options.seed != 0 ? options.seed : context.seed;
+  const int max_depth = context.max_steps;
+  const std::uint64_t seed = context.seed;
   const Deadline deadline(options.deadline_ms);
 
   SearchResult result;
@@ -102,7 +101,7 @@ SearchResult beam_search(const ir::Circuit& circuit,
     evaluator.evaluate(obs_batch, n, mask_batch, &probs, nullptr,
                        result.stats);
 
-    // Per entry: top-`branch` valid un-exhausted actions by prior
+    // Per entry: top-`width` valid un-exhausted actions by prior
     // (ties -> lower action id, matching the greedy argmax).
     std::vector<Candidate> candidates;
     for (int i = 0; i < n; ++i) {
@@ -122,7 +121,7 @@ SearchResult beam_search(const ir::Circuit& circuit,
         return row[static_cast<std::size_t>(a)] >
                row[static_cast<std::size_t>(b)];
       });
-      const int take = std::min(branch, static_cast<int>(ranked.size()));
+      const int take = std::min(width, static_cast<int>(ranked.size()));
       for (int r = 0; r < take; ++r) {
         Candidate c;
         c.entry = i;
@@ -142,7 +141,7 @@ SearchResult beam_search(const ir::Circuit& circuit,
     const std::uint64_t step_seed =
         core::CompilationEnv::step_seed(seed, 1, depth);
     {
-      obs::PerfScope perf(obs::PerfKernel::kSearchExpand);
+      obs::Stage stage(obs::StageId::kSearchExpand);
       pool.parallel_for(static_cast<int>(candidates.size()), [&](int ci) {
         auto& c = candidates[static_cast<std::size_t>(ci)];
         const auto& entry = frontier[static_cast<std::size_t>(c.entry)];
@@ -242,9 +241,9 @@ SearchResult beam_search(const ir::Circuit& circuit,
       }
       std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
         return next[static_cast<std::size_t>(a)].score +
-                   options.value_weight * values[static_cast<std::size_t>(a)] >
+                   kValueWeight * values[static_cast<std::size_t>(a)] >
                next[static_cast<std::size_t>(b)].score +
-                   options.value_weight * values[static_cast<std::size_t>(b)];
+                   kValueWeight * values[static_cast<std::size_t>(b)];
       });
       std::vector<BeamEntry> pruned;
       pruned.reserve(static_cast<std::size_t>(width));

@@ -3,8 +3,7 @@
 #include <stdexcept>
 
 #include "ir/qasm.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/trace.hpp"
+#include "obs/stage.hpp"
 #include "reward/reward.hpp"
 #include "rl/categorical.hpp"
 #include "rl/mlp.hpp"
@@ -55,8 +54,7 @@ void BatchEvaluator::evaluate(const std::vector<double>& observations,
     }
     return;
   }
-  obs::DetailTimer timer("leaf_eval");
-  obs::PerfScope perf(obs::PerfKernel::kMlpForward);
+  obs::Stage stage(obs::StageId::kLeafEval);
   if (probs_out != nullptr) {
     context_.policy->forward_batch(observations, batch, logits_, &pool_);
     const rl::BatchedMaskedCategorical dist(logits_, masks);
@@ -96,9 +94,8 @@ SearchResult run_search(const ir::Circuit& circuit,
   if (context.policy == nullptr || context.value == nullptr) {
     throw std::invalid_argument("run_search: context needs both networks");
   }
-  if (options.beam_width < 1 || options.beam_branch < 0 ||
-      options.simulations < 1 || options.mcts_batch < 1 ||
-      options.max_depth < 0 || options.deadline_ms < 0) {
+  if (options.beam_width < 1 || options.simulations < 1 ||
+      options.deadline_ms < 0) {
     throw std::invalid_argument("run_search: nonsense search options");
   }
   switch (options.strategy) {

@@ -35,7 +35,7 @@ struct SearchContext {
   const rl::Mlp* value = nullptr;   ///< leaf bootstraps
   reward::RewardKind reward{};      ///< terminal objective
   std::uint64_t seed = 1;           ///< drives stochastic passes
-  int max_steps = 40;               ///< default depth horizon
+  int max_steps = 40;               ///< depth horizon
 };
 
 /// Outcome of one search run. When no terminal was found within the

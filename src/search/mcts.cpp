@@ -23,6 +23,13 @@ namespace qrc::search::internal {
 
 namespace {
 
+/// Simulations selected per batch under virtual loss; their leaf states
+/// are evaluated in one batched network forward. Results depend on it,
+/// never on the worker count.
+constexpr int kMctsBatch = 8;
+/// PUCT exploration constant.
+constexpr double kCPuct = 1.4;
+
 struct Edge {
   int action = -1;
   double prior = 0.0;
@@ -76,10 +83,8 @@ SearchResult mcts_search(const ir::Circuit& circuit,
                          const ProgressFn& progress) {
   const auto start = std::chrono::steady_clock::now();
   const core::ActionRegistry& registry = core::ActionRegistry::instance();
-  const int max_depth =
-      options.max_depth > 0 ? options.max_depth : context.max_steps;
-  const std::uint64_t seed =
-      options.seed != 0 ? options.seed : context.seed;
+  const int max_depth = context.max_steps;
+  const std::uint64_t seed = context.seed;
   const Deadline deadline(options.deadline_ms);
 
   SearchResult result;
@@ -167,7 +172,7 @@ SearchResult mcts_search(const ir::Circuit& circuit,
       break;
     }
     const int batch =
-        std::min(options.mcts_batch, options.simulations - sims_done);
+        std::min(kMctsBatch, options.simulations - sims_done);
 
     // ---- selection (sequential, under virtual loss) --------------------
     std::vector<Path> paths;
@@ -207,7 +212,7 @@ SearchResult mcts_search(const ir::Circuit& circuit,
           const double q =
               in_flight > 0.0 ? edge.total_value / in_flight : 0.0;
           const double score =
-              q + options.c_puct * edge.prior * sqrt_n / (1.0 + in_flight);
+              q + kCPuct * edge.prior * sqrt_n / (1.0 + in_flight);
           if (chosen < 0 || score > best_score) {
             chosen = static_cast<int>(e);
             best_score = score;

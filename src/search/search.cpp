@@ -8,14 +8,21 @@ namespace qrc::search {
 
 namespace {
 
-/// Strict positive-integer parse of a spec budget ("8" in "beam:8").
-int parse_budget(std::string_view text, std::string_view spec) {
+// Largest budgets a spec may ask for. A spec arrives from outside (the CLI
+// flag, a wire frame), and search time and memory grow with the budget.
+constexpr int kMaxBeamWidth = 64;
+constexpr int kMaxSimulations = 20000;
+
+/// Strict integer parse of a spec budget ("8" in "beam:8") in [1, max].
+int parse_budget(std::string_view text, std::string_view spec, int max) {
   int value = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size() || value < 1) {
+  if (ec != std::errc() || ptr != text.data() + text.size() || value < 1 ||
+      value > max) {
     throw std::runtime_error("bad search spec '" + std::string(spec) +
-                             "': budget must be a positive integer");
+                             "': budget must be an integer in [1, " +
+                             std::to_string(max) + "]");
   }
   return value;
 }
@@ -42,12 +49,12 @@ SearchOptions parse_spec(std::string_view spec) {
   if (name == "beam") {
     options.strategy = Strategy::kBeam;
     if (colon != std::string_view::npos) {
-      options.beam_width = parse_budget(budget, spec);
+      options.beam_width = parse_budget(budget, spec, kMaxBeamWidth);
     }
   } else if (name == "mcts") {
     options.strategy = Strategy::kMcts;
     if (colon != std::string_view::npos) {
-      options.simulations = parse_budget(budget, spec);
+      options.simulations = parse_budget(budget, spec, kMaxSimulations);
     }
   } else {
     throw std::runtime_error("bad search spec '" + std::string(spec) +
@@ -67,16 +74,11 @@ std::string spec_string(const SearchOptions& options) {
 std::string cache_token(const SearchOptions& options) {
   // Every knob that can change the searched result is spelled out, so two
   // requests differing in any of them occupy distinct cache entries.
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer),
-                "%s;w=%d;b=%d;vw=%.17g;sims=%d;mb=%d;c=%.17g;d=%d;dl=%lld;"
-                "seed=%llu",
+  char buffer[96];
+  std::snprintf(buffer, sizeof(buffer), "%s;w=%d;sims=%d;dl=%lld",
                 strategy_name(options.strategy).data(), options.beam_width,
-                options.beam_branch, options.value_weight,
-                options.simulations, options.mcts_batch, options.c_puct,
-                options.max_depth,
-                static_cast<long long>(options.deadline_ms),
-                static_cast<unsigned long long>(options.seed));
+                options.simulations,
+                static_cast<long long>(options.deadline_ms));
   return buffer;
 }
 

@@ -22,41 +22,25 @@ enum class Strategy : std::uint8_t {
 
 /// Knobs of one search run. Defaults are the `beam:8` configuration; the
 /// short specs `beam[:width]` / `mcts[:simulations]` (parse_spec) set the
-/// strategy and its budget and leave every other knob at its default.
+/// strategy and its budget. Both strategies search to the model's
+/// env_max_steps (the greedy budget) and step passes with the model's
+/// training seed.
 struct SearchOptions {
   Strategy strategy = Strategy::kBeam;
 
-  /// Beam: frontier size kept per depth. Width 1 with the default branch
-  /// reproduces the greedy rollout bit-for-bit (same argmax, same
-  /// cycle-avoidance bookkeeping, same per-step seeds).
+  /// Beam: frontier size kept per depth, and candidate actions expanded
+  /// per frontier entry. Width 1 reproduces the greedy rollout bit-for-bit
+  /// (same argmax, same cycle-avoidance bookkeeping, same per-step seeds).
   int beam_width = 8;
-  /// Beam: candidate actions expanded per frontier entry, ranked by policy
-  /// prior; 0 means beam_width.
-  int beam_branch = 0;
-  /// Beam: weight of the value-network bootstrap in the pruning score
-  /// (score = cumulative log prior + value_weight * V(child)).
-  double value_weight = 1.0;
 
   /// MCTS: total simulations (leaf selections) to run.
   int simulations = 400;
-  /// MCTS: simulations selected per batch under virtual loss; their leaf
-  /// states are evaluated in one batched network forward. The batch size
-  /// is part of the configuration (virtual-loss selection depends on it),
-  /// but results never depend on the worker count.
-  int mcts_batch = 8;
-  /// MCTS: PUCT exploration constant.
-  double c_puct = 1.4;
 
-  /// Depth horizon; 0 means the model's env_max_steps (the greedy budget).
-  int max_depth = 0;
   /// Wall-clock budget in milliseconds; 0 means unlimited. The search
   /// stops at the next quantum boundary (beam depth / MCTS batch) after
   /// the deadline passes and returns the best result found so far.
   /// Deadline-bounded runs are anytime, not bitwise-reproducible.
   std::int64_t deadline_ms = 0;
-  /// Seed for stochastic passes along searched trajectories; 0 means the
-  /// model's training seed (required for beam(1) == greedy bitwise).
-  std::uint64_t seed = 0;
 };
 
 /// Counters of one search run, carried on the CompilationResult so the
@@ -109,9 +93,10 @@ struct SearchProgress {
 /// engine. An empty function disables progress reporting entirely.
 using ProgressFn = std::function<void(const SearchProgress&)>;
 
-/// Parses a search spec: "beam", "beam:<width>", "mcts" or
-/// "mcts:<simulations>" (the CLI `--search` grammar and the JSONL
-/// `"search"` field). Every other knob keeps its default.
+/// Parses a search spec: "beam", "beam:<width>" with width in [1, 64],
+/// "mcts" or "mcts:<simulations>" with simulations in [1, 20000] (the CLI
+/// `--search` grammar and the JSONL `"search"` field). Every other knob
+/// keeps its default. Options built in code are not capped.
 /// \throws std::runtime_error naming the offending spec.
 [[nodiscard]] SearchOptions parse_spec(std::string_view spec);
 

@@ -13,6 +13,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "verify/equivalence.hpp"
 
 namespace qrc::service {
@@ -375,7 +376,7 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
     // Trace bookkeeping: each traced request gets a queue_wait span plus
     // an open "batch" span that rollout/search/verify spans hang under.
     std::vector<int> batch_span(batch.size(), obs::TraceContext::kDropped);
-    bool any_traced_greedy = false;
+    std::vector<std::size_t> traced_greedy;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::int64_t wait = us_between(batch[i].submitted, dequeued);
       mm.queue_wait_us->observe(static_cast<double>(wait));
@@ -392,7 +393,7 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
                static_cast<std::int64_t>(batch.size()));
       if (!batch[i].cached_result.has_value() &&
           !batch[i].search.has_value()) {
-        any_traced_greedy = true;
+        traced_greedy.push_back(i);
       }
     }
 
@@ -463,41 +464,27 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
     }
 
     std::vector<core::CompilationResult> results(slots.size());
-    // Detail collector: while the fused rollout runs, the rollout core's
-    // DetailTimer spans (policy forward / env step) land here and are
-    // re-parented under each traced request's "rollout" span afterwards.
-    std::optional<obs::TraceContext> rollout_detail;
-    if (any_traced_greedy && !greedy_circuits.empty()) {
-      rollout_detail.emplace("rollout");
-    }
-    const auto rollout_start = Clock::now();
-    {
-      obs::CurrentTraceScope scope(
-          rollout_detail.has_value() ? &*rollout_detail : nullptr);
-      auto greedy_results =
-          lane.model->compile_all(greedy_circuits, lane.pool.get());
-      for (std::size_t g = 0; g < greedy_slots.size(); ++g) {
-        results[greedy_slots[g]] = std::move(greedy_results[g]);
-      }
-    }
-    const auto rollout_end = Clock::now();
     if (!greedy_circuits.empty()) {
-      mm.rollout_us->observe(
-          static_cast<double>(us_between(rollout_start, rollout_end)));
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].trace == nullptr || batch[i].cached_result.has_value() ||
-          batch[i].search.has_value()) {
-        continue;
+      // Detail collector: the rollout Stage and every Stage nested in it
+      // record here, and the tree is adopted under each traced greedy
+      // request's batch span afterwards.
+      std::optional<obs::TraceContext> detail;
+      if (!traced_greedy.empty()) {
+        detail.emplace("rollout");
       }
-      auto& ctx = *batch[i].trace;
-      const int span = ctx.add_span(
-          "rollout", batch_span[i], ctx.since_epoch_us(rollout_start),
-          us_between(rollout_start, rollout_end));
-      ctx.attr(span, "fused_circuits",
-               static_cast<std::int64_t>(greedy_circuits.size()));
-      if (rollout_detail.has_value()) {
-        ctx.adopt(*rollout_detail, span);
+      {
+        const obs::CurrentTraceScope scope(detail ? &*detail : nullptr);
+        obs::Stage stage(obs::StageId::kRollout, mm.rollout_us);
+        stage.attr("fused_circuits",
+                   static_cast<std::int64_t>(greedy_circuits.size()));
+        auto greedy_results =
+            lane.model->compile_all(greedy_circuits, lane.pool.get());
+        for (std::size_t g = 0; g < greedy_slots.size(); ++g) {
+          results[greedy_slots[g]] = std::move(greedy_results[g]);
+        }
+      }
+      for (const std::size_t i : traced_greedy) {
+        batch[i].trace->adopt(*detail, batch_span[i]);
       }
     }
 
@@ -530,43 +517,36 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
           partials_total_->inc(listeners.size());
         };
       }
-      std::optional<obs::TraceContext> search_detail;
+      std::optional<obs::TraceContext> detail;
       if (!traced_requesters.empty()) {
-        search_detail.emplace("search");
+        detail.emplace("search");
       }
-      const auto search_start = Clock::now();
       {
-        obs::CurrentTraceScope scope(
-            search_detail.has_value() ? &*search_detail : nullptr);
+        const obs::CurrentTraceScope scope(detail ? &*detail : nullptr);
+        const auto strategy =
+            search::strategy_name(slots[s].search->strategy);
+        obs::Stage stage(
+            obs::StageId::kSearch,
+            &metrics_->histogram(
+                "qrc_search_duration_us",
+                "Search engine wall time in microseconds, per strategy",
+                obs::latency_buckets_us(),
+                {{"strategy", std::string(strategy)}}));
+        stage.attr("strategy", strategy);
         results[s] = lane.model
                          ->compile_all(std::span<const ir::Circuit>(
                                            &slots[s].circuit, 1),
                                        lane.pool.get(), options)
                          .front();
-      }
-      const auto search_end = Clock::now();
-      const auto strategy = search::strategy_name(slots[s].search->strategy);
-      metrics_
-          ->histogram("qrc_search_duration_us",
-                      "Search engine wall time in microseconds, per strategy",
-                      obs::latency_buckets_us(),
-                      {{"strategy", std::string(strategy)}})
-          .observe(static_cast<double>(us_between(search_start, search_end)));
-      for (const std::size_t i : traced_requesters) {
-        auto& ctx = *batch[i].trace;
-        const int span = ctx.add_span(
-            "search", batch_span[i], ctx.since_epoch_us(search_start),
-            us_between(search_start, search_end));
-        ctx.attr(span, "strategy", strategy);
         if (results[s].search_stats.has_value()) {
           const auto& st = *results[s].search_stats;
-          ctx.attr(span, "nodes_expanded", st.nodes_expanded);
-          ctx.attr(span, "improved", st.improved);
-          ctx.attr(span, "deadline_hit", st.deadline_hit);
+          stage.attr("nodes_expanded", st.nodes_expanded);
+          stage.attr("improved", st.improved);
+          stage.attr("deadline_hit", st.deadline_hit);
         }
-        if (search_detail.has_value()) {
-          ctx.adopt(*search_detail, span);
-        }
+      }
+      for (const std::size_t i : traced_requesters) {
+        batch[i].trace->adopt(*detail, batch_span[i]);
       }
     }
 

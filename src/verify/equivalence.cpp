@@ -10,7 +10,7 @@
 #include "clifford/tableau.hpp"
 #include "ir/gate.hpp"
 #include "ir/sim.hpp"
-#include "obs/perf_counters.hpp"
+#include "obs/stage.hpp"
 #include "verify/sparse_state.hpp"
 
 namespace qrc::verify {
@@ -26,6 +26,9 @@ using la::cplx;
 /// Hard ceiling of the dense simulator (Statevector rejects > 24 qubits;
 /// the Choi miter doubles the width).
 constexpr int kStatevectorCap = 24;
+
+/// Amplitude tolerance of the dense and sparse simulation tiers.
+constexpr double kAtol = 1e-6;
 
 /// A circuit reduced to its unitary part, plus what was stripped.
 struct Stripped {
@@ -667,7 +670,7 @@ VerifyResult EquivalenceChecker::check(
   // ---- tier 1: Clifford Pauli flow (any width) --------------------------
   if (clifford::is_clifford_circuit(a_n) &&
       clifford::is_clifford_circuit(b_n)) {
-    obs::PerfScope perf(obs::PerfKernel::kVerifyClifford);
+    obs::Stage stage(obs::StageId::kVerifyClifford);
     std::vector<int> identity(static_cast<std::size_t>(n));
     std::iota(identity.begin(), identity.end(), 0);
     // Same width and no ancillas: the flow conditions are necessary and
@@ -703,9 +706,9 @@ VerifyResult EquivalenceChecker::check(
 
   // ---- tier 2: alternating miter (exact, <= max_miter_qubits) -----------
   if (n <= options_.max_miter_qubits) {
-    obs::PerfScope perf(obs::PerfKernel::kVerifyMiter);
+    obs::Stage stage(obs::StageId::kVerifyMiter);
     double divergence = -1.0;
-    if (alternating_miter_equivalent(a_n, b_n, n, options_.atol,
+    if (alternating_miter_equivalent(a_n, b_n, n, kAtol,
                                      &divergence)) {
       return make_result(Verdict::kEquivalent, Method::kAlternatingMiter,
                          1.0, n, "miter trace test passed");
@@ -722,10 +725,10 @@ VerifyResult EquivalenceChecker::check(
     }
     std::size_t bad_column = 0;
     int bad_trial = 0;
-    if (basis_sweep_equivalent(job, options_.atol, /*magnitudes_only=*/true,
+    if (basis_sweep_equivalent(job, kAtol, /*magnitudes_only=*/true,
                                &bad_column) &&
         stimuli_equivalent(job, options_.num_stimuli, options_.seed,
-                           options_.atol, /*magnitudes_only=*/true,
+                           kAtol, /*magnitudes_only=*/true,
                            &bad_trial)) {
       return make_result(
           Verdict::kEquivalent, Method::kAlternatingMiter,
@@ -738,10 +741,10 @@ VerifyResult EquivalenceChecker::check(
 
   // ---- tier 3: random stimuli (w.h.p., <= max_stimuli_qubits) -----------
   if (n <= options_.max_stimuli_qubits) {
-    obs::PerfScope perf(obs::PerfKernel::kVerifyStimuli);
+    obs::Stage stage(obs::StageId::kVerifyStimuli);
     const int stimuli = effective_stimuli(n, options_);
     int bad_trial = 0;
-    if (stimuli_equivalent(job, stimuli, options_.seed, options_.atol,
+    if (stimuli_equivalent(job, stimuli, options_.seed, kAtol,
                            /*magnitudes_only=*/false, &bad_trial)) {
       return make_result(Verdict::kEquivalent, Method::kRandomStimuli,
                          sampling_confidence(stimuli), n,
@@ -749,7 +752,7 @@ VerifyResult EquivalenceChecker::check(
                              " random stimuli agreed");
     }
     if (tolerant &&
-        stimuli_equivalent(job, stimuli, options_.seed, options_.atol,
+        stimuli_equivalent(job, stimuli, options_.seed, kAtol,
                            /*magnitudes_only=*/true, &bad_trial)) {
       return make_result(
           Verdict::kEquivalent, Method::kRandomStimuli,
@@ -873,6 +876,7 @@ VerifyResult EquivalenceChecker::check_mapped(
   // ---- tier 1: Clifford Pauli flow (any width, layout-aware) ------------
   if (clifford::is_clifford_circuit(sl.circuit) &&
       clifford::is_clifford_circuit(physical_c)) {
+    obs::Stage stage(obs::StageId::kVerifyClifford);
     switch (clifford_pauli_flow(sl.circuit, physical_c, k, init_c, fin_c)) {
       case FlowMatch::kFull:
         return make_result(Verdict::kEquivalent, Method::kCliffordTableau,
@@ -909,8 +913,9 @@ VerifyResult EquivalenceChecker::check_mapped(
   // ---- tier 2: exhaustive basis sweep (exact on the ancilla-|0>
   // subspace; cost 2^(n+k) amplitude updates per gate) --------------------
   if (n + k <= 2 * options_.max_miter_qubits && k <= kStatevectorCap) {
+    obs::Stage stage(obs::StageId::kVerifyMiter);
     std::size_t bad_column = 0;
-    if (basis_sweep_equivalent(job, options_.atol, /*magnitudes_only=*/false,
+    if (basis_sweep_equivalent(job, kAtol, /*magnitudes_only=*/false,
                                &bad_column)) {
       return make_result(Verdict::kEquivalent, Method::kAlternatingMiter,
                          1.0, k, "all basis columns agreed");
@@ -919,10 +924,10 @@ VerifyResult EquivalenceChecker::check_mapped(
         "diverged at basis column " + std::to_string(bad_column);
     if (tolerant) {
       int bad_trial = 0;
-      if (basis_sweep_equivalent(job, options_.atol,
+      if (basis_sweep_equivalent(job, kAtol,
                                  /*magnitudes_only=*/true, &bad_column) &&
           stimuli_equivalent(job, options_.num_stimuli, options_.seed,
-                             options_.atol, /*magnitudes_only=*/true,
+                             kAtol, /*magnitudes_only=*/true,
                              &bad_trial)) {
         return make_result(
             Verdict::kEquivalent, Method::kAlternatingMiter,
@@ -936,9 +941,10 @@ VerifyResult EquivalenceChecker::check_mapped(
 
   // ---- tier 3: random stimuli -------------------------------------------
   if (k <= options_.max_stimuli_qubits) {
+    obs::Stage stage(obs::StageId::kVerifyStimuli);
     const int stimuli = effective_stimuli(k, options_);
     int bad_trial = 0;
-    if (stimuli_equivalent(job, stimuli, options_.seed, options_.atol,
+    if (stimuli_equivalent(job, stimuli, options_.seed, kAtol,
                            /*magnitudes_only=*/false, &bad_trial)) {
       return make_result(Verdict::kEquivalent, Method::kRandomStimuli,
                          sampling_confidence(stimuli), k,
@@ -946,7 +952,7 @@ VerifyResult EquivalenceChecker::check_mapped(
                              " random stimuli agreed");
     }
     if (tolerant &&
-        stimuli_equivalent(job, stimuli, options_.seed, options_.atol,
+        stimuli_equivalent(job, stimuli, options_.seed, kAtol,
                            /*magnitudes_only=*/true, &bad_trial)) {
       return make_result(
           Verdict::kEquivalent, Method::kRandomStimuli,
@@ -966,10 +972,11 @@ VerifyResult EquivalenceChecker::check_mapped(
   // unless the circuit genuinely entangles too many wires, which
   // overflows the support cap and lands in kUnknown below.
   if (n <= options_.max_stimuli_qubits && k <= 63) {
+    obs::Stage stage(obs::StageId::kVerifyStimuli);
     bool overflowed = false;
     int bad_trial = 0;
     if (sparse_stimuli_equivalent(job, options_.num_stimuli, options_.seed,
-                                  options_.atol, /*magnitudes_only=*/false,
+                                  kAtol, /*magnitudes_only=*/false,
                                   &bad_trial, &overflowed)) {
       return make_result(Verdict::kEquivalent, Method::kRandomStimuli,
                          sampling_confidence(options_.num_stimuli), k,
@@ -978,7 +985,7 @@ VerifyResult EquivalenceChecker::check_mapped(
     }
     if (!overflowed && tolerant &&
         sparse_stimuli_equivalent(job, options_.num_stimuli, options_.seed,
-                                  options_.atol, /*magnitudes_only=*/true,
+                                  kAtol, /*magnitudes_only=*/true,
                                   &bad_trial, &overflowed)) {
       return make_result(
           Verdict::kEquivalent, Method::kRandomStimuli,

@@ -75,8 +75,6 @@ struct VerifyOptions {
   /// Seed for the shared random stimuli (fixed seed => deterministic
   /// verdicts, so cache replays and live compilations agree).
   std::uint64_t seed = 0x5eed5eedULL;
-  /// Amplitude tolerance for the dense tiers.
-  double atol = 1e-6;
   /// Accept circuits that differ only by diagonal phases ahead of a
   /// measure-all (e.g. RemoveDiagonalGatesBeforeMeasure output). Strict
   /// unitary equivalence is always tried first.

@@ -1,7 +1,8 @@
 // Tests for the unified observability layer: the MetricsRegistry
 // (exact totals under concurrency, histogram semantics, the Prometheus
 // text exposition), TraceContext span trees (nesting, attrs, the bounded
-// buffer, adopt() rebasing), trace completeness through the compile
+// buffer, adopt() rebasing), obs::Stage nesting at the compile seams
+// (independent of pool width), trace completeness through the compile
 // service for greedy/search/verify requests, the wire surfaces ("op":
 // "metrics", "trace":true, HTTP GET /metrics), and the guarantee that
 // tracing is observation-only — traced results are bitwise identical to
@@ -25,10 +26,13 @@
 #include "net/socket.hpp"
 #include "net/stats.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
+#include "rl/thread_pool.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
 #include "util/json.hpp"
+#include "verify/equivalence.hpp"
 
 namespace {
 
@@ -36,6 +40,7 @@ using qrc::bench::BenchmarkFamily;
 using qrc::core::Predictor;
 using qrc::ir::Circuit;
 using qrc::obs::MetricsRegistry;
+using qrc::obs::StageId;
 using qrc::obs::TraceContext;
 using qrc::reward::RewardKind;
 using qrc::service::CompileService;
@@ -335,15 +340,109 @@ TEST(TraceContextTest, AdoptRebasesSpansUnderParent) {
   EXPECT_NE(find_span(*leaf, "forward"), nullptr);
 }
 
-TEST(TraceContextTest, DetailTimerIsAmbientAndGated) {
+TEST(TraceContextTest, StageIsAmbientAndGated) {
   TraceContext trace("req-4");
   qrc::obs::TraceContext::set_current(&trace);
-  { qrc::obs::DetailTimer timer("hot"); }
+  { qrc::obs::Stage stage(StageId::kEnvStep); }
   EXPECT_EQ(trace.span_count(), 1u);
 
   qrc::obs::TraceContext::set_current(nullptr);
-  { qrc::obs::DetailTimer timer("hot"); }  // no ambient context: no-op
+  { qrc::obs::Stage stage(StageId::kEnvStep); }  // no ambient context: no-op
   EXPECT_EQ(trace.span_count(), 1u);
+}
+
+// ------------------------------------------------------------ stage seams ---
+
+/// The span tree's shape: names with their children, parents implied.
+std::string span_shape(const JsonValue& span) {
+  const auto& obj = span.as_object();
+  std::string out = obj.at("name").as_string();
+  const auto kids = obj.find("children");
+  if (kids != obj.end()) {
+    out += '(';
+    for (const auto& kid : kids->second.as_array()) {
+      out += span_shape(kid) + ' ';
+    }
+    out += ')';
+  }
+  return out;
+}
+
+std::string span_shape(const TraceContext& trace) {
+  std::string out;
+  const auto parsed = JsonValue::parse(trace.to_json());
+  for (const auto& root : parsed.as_object().at("spans").as_array()) {
+    out += span_shape(root) + '\n';
+  }
+  return out;
+}
+
+TEST(StageTest, RolloutSeamsNestUnderGreedyRollout) {
+  const Predictor& model = shared_model();  // trains outside the trace
+  TraceContext trace("nest");
+  {
+    const qrc::obs::CurrentTraceScope scope(&trace);
+    (void)model.compile(small_ghz());
+  }
+  const auto parsed = JsonValue::parse(trace.to_json());
+  const auto& roots = parsed.as_object().at("spans").as_array();
+  ASSERT_EQ(roots.size(), 1u) << trace.to_json();
+  const auto& rollout = roots.front().as_object();
+  EXPECT_EQ(rollout.at("name").as_string(), "greedy_rollout");
+  std::vector<std::string> kids;
+  for (const auto& kid : rollout.at("children").as_array()) {
+    kids.push_back(kid.as_object().at("name").as_string());
+  }
+  EXPECT_TRUE(contains(kids, "policy_forward")) << trace.to_json();
+  EXPECT_TRUE(contains(kids, "env_step")) << trace.to_json();
+}
+
+TEST(StageTest, SpanTreeDoesNotDependOnPoolWidth) {
+  const std::vector<Circuit> circuits = {
+      small_ghz(), qrc::bench::make_benchmark(BenchmarkFamily::kVqe, 4, 1),
+      qrc::bench::make_benchmark(BenchmarkFamily::kQft, 3, 1)};
+  const Predictor& model = shared_model();  // trains outside the trace
+  const auto shape_on = [&](int width) {
+    qrc::rl::WorkerPool pool(width);
+    TraceContext trace("width");
+    {
+      const qrc::obs::CurrentTraceScope scope(&trace);
+      (void)model.compile_all(circuits, &pool,
+                              {.verify = qrc::verify::VerifyOptions{}});
+    }
+    return span_shape(trace);
+  };
+  const std::string narrow = shape_on(1);
+  EXPECT_NE(narrow.find("verify_gate"), std::string::npos) << narrow;
+  EXPECT_EQ(shape_on(4), narrow);
+}
+
+TEST(StageTest, CheckMappedRecordsItsDecidingTier) {
+  Circuit rotated = small_ghz();
+  rotated.rz(0.3, 1);  // not Clifford: the dense tiers decide
+  const qrc::verify::EquivalenceChecker checker;
+  for (const Circuit& circuit : {small_ghz(), rotated}) {
+    const auto compiled = shared_model().compile(circuit);
+    TraceContext trace("mapped");
+    qrc::verify::VerifyResult verdict;
+    {
+      const qrc::obs::CurrentTraceScope scope(&trace);
+      verdict = checker.check_mapped(circuit, compiled.circuit,
+                                     compiled.initial_layout,
+                                     compiled.final_layout);
+    }
+    ASSERT_TRUE(verdict.equivalent()) << verdict.detail;
+    const StageId tier =
+        verdict.method == qrc::verify::Method::kCliffordTableau
+            ? StageId::kVerifyClifford
+        : verdict.method == qrc::verify::Method::kAlternatingMiter
+            ? StageId::kVerifyMiter
+            : StageId::kVerifyStimuli;
+    EXPECT_TRUE(contains(span_names(trace),
+                         std::string(qrc::obs::stage_name(tier))))
+        << qrc::verify::method_name(verdict.method) << ": "
+        << trace.to_json();
+  }
 }
 
 // --------------------------------------------------- service trace shapes ---
@@ -365,7 +464,16 @@ TEST(ServiceTraceTest, GreedyCompileSpanTreeIsComplete) {
   const auto parsed = JsonValue::parse(response.trace->to_json());
   const JsonValue* batch = find_span(parsed, "batch", true);
   ASSERT_NE(batch, nullptr);
-  EXPECT_NE(find_span(*batch, "rollout"), nullptr);
+  const JsonValue* rollout = find_span(*batch, "rollout");
+  ASSERT_NE(rollout, nullptr);
+  // The core's stages nest under the service's rollout stage.
+  const JsonValue* greedy = find_span(*rollout, "greedy_rollout");
+  ASSERT_NE(greedy, nullptr) << response.trace->to_json();
+  EXPECT_NE(find_span(*greedy, "policy_forward"), nullptr);
+  // One fused rollout, one observation.
+  EXPECT_NE(svc.metrics().render_prometheus().find(
+                "qrc_rollout_duration_us_count{model=\"fidelity\"} 1\n"),
+            std::string::npos);
 }
 
 TEST(ServiceTraceTest, SearchAndVerifySpansCarryOutcomeAttrs) {
@@ -393,10 +501,19 @@ TEST(ServiceTraceTest, SearchAndVerifySpansCarryOutcomeAttrs) {
   EXPECT_FALSE(verify_attrs.at("method").as_string().empty());
   EXPECT_FALSE(verify_attrs.at("verdict").as_string().empty());
 
-  // The per-strategy and per-method label sets landed in the registry.
+  // The per-strategy and per-method label sets landed in the registry,
+  // and the search (which fuses no greedy rollout) was timed once.
   EXPECT_EQ(svc.metrics().counter_value("qrc_search_requests_total",
                                         {{"strategy", "beam"}}),
             1u);
+  const std::string exposition = svc.metrics().render_prometheus();
+  EXPECT_NE(exposition.find(
+                "qrc_search_duration_us_count{strategy=\"beam\"} 1\n"),
+            std::string::npos)
+      << exposition;
+  EXPECT_NE(exposition.find(
+                "qrc_rollout_duration_us_count{model=\"fidelity\"} 0\n"),
+            std::string::npos);
   EXPECT_GE(svc.metrics().counter_total("qrc_verify_verdicts_total"), 1u);
 }
 

@@ -24,9 +24,9 @@
 #include "net/socket.hpp"
 #include "obs/bench_diff.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/process_stats.hpp"
 #include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "search/search.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
@@ -161,29 +161,29 @@ TEST(Profiler, ResetClearsRingAndCounters) {
 
 TEST(PerfCounters, DisabledScopesAreFreeAndRecordNothing) {
   obs::set_perf_enabled(false);
-  obs::reset_perf_totals();
+  obs::reset_stage_totals();
   {
-    obs::PerfScope scope(obs::PerfKernel::kMlpForward);
+    obs::Stage scope(obs::StageId::kPolicyForward);
   }
-  const auto totals = obs::perf_kernel_totals(obs::PerfKernel::kMlpForward);
+  const auto totals = obs::stage_totals(obs::StageId::kPolicyForward);
   EXPECT_EQ(totals.scopes, 0u);
   EXPECT_EQ(totals.cycles, 0u);
 }
 
-/// Works both ways by design: on hosts with perf_event_open the scope
+/// Works both ways by design: on hosts with perf_event_open the Stage
 /// accumulates real counts; on locked-down runners it must degrade to a
 /// clean skip (no totals, perf_available() false) without erroring.
 TEST(PerfCounters, ScopesAccumulateOrDegradeCleanly) {
   obs::set_perf_enabled(true);
-  obs::reset_perf_totals();
+  obs::reset_stage_totals();
   volatile std::uint64_t sink = 0;
   {
-    obs::PerfScope scope(obs::PerfKernel::kTableauSweep);
+    obs::Stage scope(obs::StageId::kTableauSweep);
     for (int i = 0; i < 200000; ++i) {
       sink = sink + static_cast<std::uint64_t>(i) * 2654435761u;
     }
   }
-  const auto totals = obs::perf_kernel_totals(obs::PerfKernel::kTableauSweep);
+  const auto totals = obs::stage_totals(obs::StageId::kTableauSweep);
   if (obs::perf_available()) {
     EXPECT_EQ(totals.scopes, 1u);
     EXPECT_GT(totals.cycles, 0u);
@@ -200,19 +200,21 @@ TEST(PerfCounters, PublishesMetricFamilies) {
   obs::publish_perf_metrics(registry);
   const auto families = registry.family_names("qrc_profile_");
   EXPECT_GE(families.size(), 8u);
-  // Every kernel appears as a labelled series of the cycles family.
+  // Every stage appears as a labelled series of the cycles family.
   const auto series = registry.counter_series("qrc_profile_cycles_total");
   EXPECT_TRUE(series.empty());  // gauges, not counters
   // gauge_value defaults to 0 for missing series; assert registration
   // via the rendered exposition instead.
   const std::string text = registry.render_prometheus();
   EXPECT_NE(text.find("qrc_profile_ipc"), std::string::npos);
-  for (const char* kernel :
-       {"mlp_forward", "tableau_sweep", "search_expand", "verify_clifford",
-        "verify_miter", "verify_stimuli", "env_step"}) {
-    EXPECT_NE(text.find(std::string("kernel=\"") + kernel + "\""),
+  for (const char* stage :
+       {"rollout", "search", "greedy_rollout", "policy_forward", "env_step",
+        "search_lookahead", "leaf_eval", "search_expand", "verify_gate",
+        "verify_clifford", "verify_miter", "verify_stimuli",
+        "tableau_sweep"}) {
+    EXPECT_NE(text.find(std::string("stage=\"") + stage + "\""),
               std::string::npos)
-        << kernel;
+        << stage;
   }
   EXPECT_NE(text.find("qrc_profile_perf_available"), std::string::npos);
 }

@@ -97,6 +97,23 @@ TEST(SearchSpecTest, RejectsMalformedSpecs) {
   }
 }
 
+TEST(SearchSpecTest, BudgetsAreCappedOnTheWire) {
+  EXPECT_EQ(qrc::search::parse_spec("beam:64").beam_width, 64);
+  EXPECT_EQ(qrc::search::parse_spec("mcts:20000").simulations, 20000);
+  for (const char* over : {"beam:65", "mcts:20001", "beam:1000000"}) {
+    EXPECT_THROW((void)qrc::search::parse_spec(over), std::runtime_error)
+        << over;
+    try {
+      (void)qrc::service::parse_serve_request(
+          std::string("{\"v\":1,\"id\":\"big\",\"qasm\":\"x\",\"search\":\"") +
+          over + "\"}");
+      ADD_FAILURE() << "accepted " << over;
+    } catch (const qrc::service::ServiceError& e) {
+      EXPECT_EQ(e.code(), qrc::service::ErrorCode::kBadRequest) << over;
+    }
+  }
+}
+
 TEST(SearchSpecTest, CacheTokensSeparateConfigs) {
   std::set<std::string> tokens;
   for (const char* spec : {"beam:1", "beam:8", "mcts:8", "mcts:400"}) {

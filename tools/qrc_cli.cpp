@@ -100,8 +100,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 #include "obs/training_logger.hpp"
 #include "rl/mlp.hpp"
@@ -413,9 +413,9 @@ int cmd_compile(int argc, char** argv) {
     throw std::runtime_error("--deadline-ms requires --search");
   }
 
-  // --trace: make a CLI-local context ambient for the compile (the
-  // predictor's AmbientSpans and the hot-path DetailTimers record into
-  // it), then print the span tree after the result.
+  // --trace: make a CLI-local context ambient for the compile (every
+  // obs::Stage on the compile path records its span into it), then print
+  // the span tree after the result.
   const bool trace = args.single("trace") != nullptr;
   std::optional<obs::TraceContext> trace_ctx;
   int root_span = obs::TraceContext::kNoParent;
@@ -465,9 +465,9 @@ int cmd_compile(int argc, char** argv) {
                  static_cast<unsigned long long>(pstats.pc_only));
     std::fputs(obs::Profiler::render_folded().c_str(), stderr);
     if (obs::perf_available()) {
-      for (int k = 0; k < static_cast<int>(obs::PerfKernel::kCount); ++k) {
-        const auto kernel = static_cast<obs::PerfKernel>(k);
-        const auto totals = obs::perf_kernel_totals(kernel);
+      for (int s = 0; s < static_cast<int>(obs::StageId::kCount); ++s) {
+        const auto stage = static_cast<obs::StageId>(s);
+        const auto totals = obs::stage_totals(stage);
         if (totals.scopes == 0 || totals.cycles == 0) {
           continue;
         }
@@ -475,7 +475,7 @@ int cmd_compile(int argc, char** argv) {
             stderr,
             "# perf %-16s %llu scopes, %.2f ipc, %.4f cache miss rate, "
             "%.4f branch miss rate\n",
-            obs::perf_kernel_name(kernel).data(),
+            obs::stage_name(stage).data(),
             static_cast<unsigned long long>(totals.scopes),
             static_cast<double>(totals.instructions) /
                 static_cast<double>(totals.cycles),
