@@ -58,7 +58,9 @@ class CompilationEnv final : public rl::Env {
   // expansion — the bare-state path is a single circuit copy, which
   // bench_search_quality measures as nodes/sec.) The env's own step() and
   // observe() are thin wrappers over these, so trajectories agree
-  // bit-for-bit between the env, the rollout core and the search engine.
+  // bit-for-bit between the env, the rollout core and the search engine,
+  // up to a platform pick that no device can hold: only the rollout core
+  // ends the episode there.
 
   /// The deterministic per-step seed driving stochastic passes:
   /// episode 1, step d is what a fresh env seeded with `env_seed` uses on

@@ -1,6 +1,7 @@
 #include "core/predictor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <istream>
 #include <memory>
 #include <thread>
@@ -126,6 +127,17 @@ verify::VerifyResult verify_compilation(const ir::Circuit& original,
                               result.initial_layout, result.final_layout);
 }
 
+void trace_verification(obs::TraceContext& ctx, int parent,
+                        std::chrono::steady_clock::time_point start,
+                        std::int64_t duration_us,
+                        const verify::VerifyResult& verdict) {
+  const int span = ctx.add_span("verify", parent, ctx.since_epoch_us(start),
+                                duration_us);
+  ctx.attr(span, "method", verify::method_name(verdict.method));
+  ctx.attr(span, "verdict", verify::verdict_name(verdict.verdict));
+  ctx.attr(span, "confidence", verdict.confidence);
+}
+
 std::vector<CompilationResult> Predictor::compile_all(
     std::span<const ir::Circuit> circuits, rl::WorkerPool* external_pool,
     const CompileOptions& options) const {
@@ -240,13 +252,31 @@ std::vector<CompilationResult> Predictor::compile_all(
 
   if (options.verify.has_value()) {
     // Post-compile verification gate: independent per circuit, so the
-    // checks spread over the same worker pool as the rollout.
+    // checks spread over the same worker pool as the rollout. Pool jobs
+    // run untraced, so each check is timed in its job and recorded as a
+    // `verify` span afterwards, on this thread.
+    using Clock = std::chrono::steady_clock;
     obs::Stage stage(obs::StageId::kVerifyGate);
+    std::vector<std::pair<Clock::time_point, std::int64_t>> timings(
+        static_cast<std::size_t>(num_circuits));
     pool.parallel_for(num_circuits, [&](int c) {
       auto& result = results[static_cast<std::size_t>(c)];
+      const auto start = Clock::now();
       result.verification =
           verify_compilation(circuits[c], result, *options.verify);
+      timings[static_cast<std::size_t>(c)] = {
+          start, std::chrono::duration_cast<std::chrono::microseconds>(
+                     Clock::now() - start)
+                     .count()};
     });
+    if (obs::TraceContext* ctx = stage.context(); ctx != nullptr) {
+      for (int c = 0; c < num_circuits; ++c) {
+        const auto& [start, duration_us] =
+            timings[static_cast<std::size_t>(c)];
+        trace_verification(*ctx, stage.span(), start, duration_us,
+                           *results[static_cast<std::size_t>(c)].verification);
+      }
+    }
   }
   return results;
 }
@@ -274,8 +304,11 @@ Predictor Predictor::load(std::istream& is) {
   int reward_kind = 0;
   PredictorConfig config;
   is >> tag >> version >> reward_kind >> config.env_max_steps >> config.seed;
-  if (tag != "qrc_predictor" || version != 1 || reward_kind < 0 ||
-      reward_kind > 4) {
+  // A step budget below 1 makes every compile fall back; 1000 is 25x the
+  // default of 40.
+  if (!is || tag != "qrc_predictor" || version != 1 || reward_kind < 0 ||
+      reward_kind > 4 || config.env_max_steps < 1 ||
+      config.env_max_steps > 1000) {
     throw std::runtime_error("Predictor::load: bad header");
   }
   config.reward = static_cast<reward::RewardKind>(reward_kind);

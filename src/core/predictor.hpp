@@ -5,6 +5,7 @@
 ///        library's primary public API.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -18,6 +19,10 @@
 #include "search/search.hpp"
 #include "verify/equivalence.hpp"
 
+namespace qrc::obs {
+class TraceContext;
+}
+
 namespace qrc::rl {
 class WorkerPool;
 }
@@ -28,7 +33,10 @@ namespace qrc::core {
 struct CompilationResult {
   ir::Circuit circuit;                    ///< executable circuit
   const device::Device* device = nullptr; ///< chosen target
-  std::vector<std::string> action_trace;  ///< applied action names in order
+  /// Applied action names in order, the fallback's suffixed "(fallback)". A
+  /// dead-end platform pick (no device wide enough for the circuit) is
+  /// followed directly by the fallback's entries.
+  std::vector<std::string> action_trace;
   std::vector<int> initial_layout;        ///< logical -> physical
   std::vector<int> final_layout;          ///< logical -> physical after routing
   double reward = 0.0;                    ///< under the trained objective
@@ -53,6 +61,15 @@ struct CompilationResult {
 [[nodiscard]] verify::VerifyResult verify_compilation(
     const ir::Circuit& original, const CompilationResult& result,
     const verify::VerifyOptions& options = {});
+
+/// Records one timed verify_compilation() as a `verify` span under
+/// `parent`, with `method`, `verdict` and `confidence` attrs. Checks run
+/// in untraced pool jobs; the Predictor gate and the compile service time
+/// each one there and record it with this on the calling thread.
+void trace_verification(obs::TraceContext& ctx, int parent,
+                        std::chrono::steady_clock::time_point start,
+                        std::int64_t duration_us,
+                        const verify::VerifyResult& verdict);
 
 struct PredictorConfig {
   reward::RewardKind reward = reward::RewardKind::kFidelity;
@@ -125,13 +142,16 @@ class Predictor {
   ///    spread over the pool) while the episodes step in parallel. An
   ///    episode that does not reach Done within the step budget is
   ///    completed by a deterministic fallback sequence (synthesis, SABRE
-  ///    layout/routing, synthesis, 1q optimization) and flagged. Per
+  ///    layout/routing, synthesis, 1q optimization) and flagged. A
+  ///    platform pick that no device can hold ends the greedy part at
+  ///    once, and the fallback restarts from the input on IBM. Per
   ///    circuit the result does not depend on the batch around it: the
   ///    batched forward is bitwise-equal to the scalar one.
   /// 2. `options.search`: each circuit in turn is searched and the result
   ///    clamped to its greedy baseline (see CompileOptions::search).
   /// 3. `options.verify`: the verification gate, checks spread over the
-  ///    pool.
+  ///    pool; a traced call records one `verify` span per circuit under
+  ///    `verify_gate`.
   ///
   /// `pool` lets a long-lived caller (the compile service) reuse one
   /// worker pool across calls; nullptr spins up a call-local one, one

@@ -24,6 +24,18 @@ std::vector<GreedyEpisode> run_greedy_episodes(
   const ActionRegistry& registry = ActionRegistry::instance();
   const int num_circuits = static_cast<int>(circuits.size());
   const auto obs_size = static_cast<std::size_t>(policy.input_size());
+  std::vector<const Action*> device_actions;
+  for (int a = 0; a < registry.size(); ++a) {
+    if (registry.at(a).type() == ActionType::kDeviceSelection) {
+      device_actions.push_back(&registry.at(a));
+    }
+  }
+  // After a platform pick that no device selection can follow, Done is out
+  // of reach: no pass changes the circuit's width.
+  const auto no_device_fits = [&](const CompilationState& state) {
+    return std::none_of(device_actions.begin(), device_actions.end(),
+                        [&](const Action* a) { return a->valid(state); });
+  };
 
   struct Episode {
     GreedyEpisode out;
@@ -31,7 +43,9 @@ std::vector<GreedyEpisode> run_greedy_episodes(
     std::set<int> exhausted;
     std::set<Fingerprint> visited;
     int action = -1;
+    MdpState mdp = MdpState::kStart;  ///< state() after the last step
     bool active = true;  ///< false once every valid action proved no-op
+                         ///< or the platform pick hit a dead end
   };
   std::vector<Episode> episodes(static_cast<std::size_t>(num_circuits));
   for (int c = 0; c < num_circuits; ++c) {
@@ -113,7 +127,8 @@ std::vector<GreedyEpisode> run_greedy_episodes(
         auto& ep = episodes[static_cast<std::size_t>(
             stepping[static_cast<std::size_t>(i)])];
         CompilationEnv::apply_action(ep.out.state, ep.action, seed);
-        if (ep.out.state.state() != MdpState::kDone) {
+        ep.mdp = ep.out.state.state();
+        if (ep.mdp != MdpState::kDone) {
           ep.obs = CompilationEnv::observe_state(ep.out.state);
         }
       });
@@ -125,10 +140,13 @@ std::vector<GreedyEpisode> run_greedy_episodes(
       } else {
         ep.exhausted.clear();
       }
-      if (ep.out.state.state() == MdpState::kDone) {
+      if (ep.mdp == MdpState::kDone) {
         ep.out.done = true;
         ep.out.reward = reward::compute_reward(
             env_config.reward, ep.out.state.circuit, *ep.out.state.device);
+      } else if (ep.mdp == MdpState::kPlatformChosen &&
+                 no_device_fits(ep.out.state)) {
+        ep.active = false;  // the caller's fallback restarts from the input
       }
     }
   }

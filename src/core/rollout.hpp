@@ -43,12 +43,16 @@ struct GreedyEpisode {
 /// rollouts can cycle — through single no-op actions, or pass pairs that
 /// keep rewriting each other's output — so an action is banned whenever it
 /// lands on an already-visited state and everything is unbanned on
-/// genuine progress. `masked_feature` >= 0 zeroes that observation column
-/// at every inference step (the ablation hook).
+/// genuine progress. An episode whose platform pick leaves no device wide
+/// enough for the circuit ends at that pick (not done): no pass changes
+/// the width, so Done is out of reach. `masked_feature` >= 0 zeroes that
+/// observation column at every inference step (the ablation hook).
 ///
 /// Per-step seeds follow CompilationEnv::step_seed(seed, 1, step), i.e.
 /// the first episode of a fresh env — the contract that keeps these
-/// rollouts, the env path and beam(1) search bit-for-bit identical.
+/// rollouts and the env path bit-for-bit identical up to a dead-end pick,
+/// which the env keeps stepping until truncation. beam(1) search returns
+/// the greedy result bit for bit.
 [[nodiscard]] std::vector<GreedyEpisode> run_greedy_episodes(
     const rl::Mlp& policy, std::span<const ir::Circuit> circuits,
     const CompilationEnvConfig& env_config, int masked_feature,

@@ -93,6 +93,12 @@ class Stage {
     if (ctx_ != nullptr) ctx_->attr(span_, key, value);
   }
 
+  /// The trace this stage records into (nullptr when untraced) and its
+  /// span there: the parent for intervals timed where no Stage can open
+  /// a span, such as inside a pool job, recorded with add_span().
+  [[nodiscard]] TraceContext* context() const { return ctx_; }
+  [[nodiscard]] int span() const { return span_; }
+
  private:
   static constexpr int kEvents = 6;
 

@@ -30,7 +30,9 @@ struct SearchOptions {
 
   /// Beam: frontier size kept per depth, and candidate actions expanded
   /// per frontier entry. Width 1 reproduces the greedy rollout bit-for-bit
-  /// (same argmax, same cycle-avoidance bookkeeping, same per-step seeds).
+  /// (same argmax, same cycle-avoidance bookkeeping, same per-step seeds);
+  /// past a platform pick that no device can hold, where the rollout
+  /// stops, it finds no terminal and the greedy result stands.
   int beam_width = 8;
 
   /// MCTS: total simulations (leaf selections) to run.

@@ -614,16 +614,10 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
         response.result.verification = units[unit_of_request[i]].verdict;
         count_verdict(*response.result.verification);
         if (batch[i].trace != nullptr) {
-          auto& ctx = *batch[i].trace;
           const auto& unit = units[unit_of_request[i]];
-          const int span = ctx.add_span(
-              "verify", batch_span[i], ctx.since_epoch_us(unit.start),
-              unit.duration_us);
-          ctx.attr(span, "method",
-                   verify::method_name(unit.verdict.method));
-          ctx.attr(span, "verdict",
-                   verify::verdict_name(unit.verdict.verdict));
-          ctx.attr(span, "confidence", unit.verdict.confidence);
+          core::trace_verification(*batch[i].trace, batch_span[i],
+                                   unit.start, unit.duration_us,
+                                   unit.verdict);
         }
       }
       if (!response.cached && response.result.search_stats.has_value()) {

@@ -12,7 +12,9 @@
 #include "core/compilation_env.hpp"
 #include "core/predictor.hpp"
 #include "device/library.hpp"
+#include "features/features.hpp"
 #include "ir/sim.hpp"
+#include "rl/ppo.hpp"
 
 namespace {
 
@@ -138,6 +140,39 @@ TEST(MdpStateTest, DeviceTooSmallIsMasked) {
   // Lucy has 8 qubits < 15.
   EXPECT_FALSE(registry.at(registry.index_of("device_oqc_lucy"))
                    .valid(state));
+}
+
+TEST(MdpStateTest, OptimizationsLeaveAPlatformPickWithoutDevice) {
+  // The greedy rollout ends an episode whose platform pick no device can
+  // follow. That rests on this invariant: no optimization pass changes
+  // the circuit's width, the platform or the device in PlatformChosen.
+  const auto& registry = ActionRegistry::instance();
+  for (const BenchmarkFamily family : qrc::bench::all_families()) {
+    for (const int n : {9, 12, 20}) {
+      CompilationState state;
+      state.circuit = qrc::bench::make_benchmark(family, n, 1);
+      const std::string name = state.circuit.name();
+      apply_by_name(state, "platform_ionq");
+      int optimizations = 0;
+      for (int a = 0; a < registry.size(); ++a) {
+        const auto& action = registry.at(a);
+        if (action.type() != qrc::core::ActionType::kOptimization) {
+          continue;
+        }
+        ++optimizations;
+        ASSERT_TRUE(action.valid(state)) << name << " " << action.name();
+        action.apply(state, 1);
+        EXPECT_EQ(state.circuit.num_qubits(), n) << name << " "
+                                                 << action.name();
+        EXPECT_EQ(state.platform, qrc::device::Platform::kIonQ)
+            << name << " " << action.name();
+        EXPECT_EQ(state.device, nullptr) << name << " " << action.name();
+        EXPECT_EQ(state.state(), MdpState::kPlatformChosen)
+            << name << " " << action.name();
+      }
+      EXPECT_EQ(optimizations, 12);
+    }
+  }
 }
 
 TEST(MdpStateTest, RoutingMaskedForThreeQubitGates) {
@@ -453,6 +488,100 @@ TEST(PredictorTest, ExtensionObjectivesTrainAndCompile) {
     EXPECT_TRUE(result.device->circuit_respects_topology(result.circuit));
     EXPECT_GT(result.reward, 0.0);
     EXPECT_LE(result.reward, 1.0);
+  }
+}
+
+/// A saved PpoAgent whose policy prefers `action` wherever it is valid:
+/// every weight and bias is zero except that action's output bias, so its
+/// logit is 1 and every other logit 0 (ties go to the lowest action id).
+std::string agent_preferring(std::string_view action) {
+  const auto& registry = ActionRegistry::instance();
+  qrc::rl::PpoConfig ppo;
+  ppo.hidden_sizes = {8};
+  qrc::rl::PpoAgent agent(qrc::features::kNumFeatures, registry.size(), ppo);
+  std::vector<double*> params;
+  std::vector<double*> grads;
+  agent.policy().collect_parameters(params, grads);
+  for (double* p : params) {
+    *p = 0.0;
+  }
+  // The output layer's biases are the last parameters, one per action.
+  *params[params.size() - static_cast<std::size_t>(registry.size()) +
+          static_cast<std::size_t>(registry.index_of(action))] = 1.0;
+  std::stringstream out;
+  agent.save(out);
+  return out.str();
+}
+
+/// Predictor::load's error message for `model`, or "" when it loads.
+std::string load_error(const std::string& model) {
+  std::istringstream in(model);
+  try {
+    (void)qrc::core::Predictor::load(in);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PredictorTest, LoadRejectsAStepBudgetOutsideOneToAThousand) {
+  const std::string agent = agent_preferring("platform_ibm");
+  const auto model = [&](std::string_view budget) {
+    return "qrc_predictor 1 0 " + std::string(budget) + " 1\n" + agent;
+  };
+  for (const std::string_view bad : {"0", "-3", "1001", "x"}) {
+    EXPECT_EQ(load_error(model(bad)), "Predictor::load: bad header") << bad;
+  }
+  for (const int good : {1, 1000}) {
+    std::istringstream in(model(std::to_string(good)));
+    EXPECT_EQ(qrc::core::Predictor::load(in).config().env_max_steps, good);
+  }
+}
+
+TEST(PredictorTest, DeadEndPlatformPickGoesStraightToTheFallback) {
+  // IonQ's device has 11 qubits and OQC's 8: a wider circuit can take no
+  // device after that pick, so the greedy part ends there and the
+  // fallback restarts the flow on IBM from the input.
+  const std::vector<std::string> fallback = {
+      "platform_ibm", "device_ibmq_washington", "BasisTranslator",
+      "SabreLayout",  "SabreSwap",              "BasisTranslator"};
+  const struct {
+    std::string platform;
+    std::string device;
+    int width;  ///< the device's qubit count
+  } picks[] = {{"ionq", "ionq_harmony", 11}, {"oqc", "oqc_lucy", 8}};
+  for (const auto& pick : picks) {
+    std::istringstream model("qrc_predictor 1 0 40 1\n" +
+                             agent_preferring("platform_" + pick.platform));
+    const auto predictor = qrc::core::Predictor::load(model);
+
+    const Circuit wide =
+        qrc::bench::make_benchmark(BenchmarkFamily::kGhz, pick.width + 1, 1);
+    const auto result = predictor.compile(wide);
+    std::vector<std::string> expected_trace = {"platform_" + pick.platform};
+    CompilationState canned;
+    canned.circuit = wide;
+    for (const std::string& name : fallback) {
+      expected_trace.push_back(name + "(fallback)");
+      apply_by_name(canned, name, predictor.config().seed);
+    }
+    ASSERT_EQ(canned.state(), MdpState::kDone);
+    EXPECT_EQ(result.action_trace, expected_trace) << wide.name();
+    EXPECT_TRUE(result.used_fallback) << wide.name();
+    EXPECT_EQ(result.device, canned.device) << wide.name();
+    EXPECT_TRUE(result.circuit == canned.circuit) << wide.name();
+    EXPECT_EQ(result.initial_layout, *canned.initial_layout) << wide.name();
+    EXPECT_EQ(result.final_layout, canned.final_layout) << wide.name();
+
+    // A circuit that fits keeps the pick and compiles on its device.
+    const Circuit fits =
+        qrc::bench::make_benchmark(BenchmarkFamily::kGhz, pick.width, 1);
+    const auto kept = predictor.compile(fits);
+    ASSERT_NE(kept.device, nullptr) << fits.name();
+    EXPECT_EQ(kept.device->name(), pick.device) << fits.name();
+    EXPECT_FALSE(kept.used_fallback) << fits.name();
+    EXPECT_EQ(kept.action_trace.front(), "platform_" + pick.platform);
+    EXPECT_EQ(kept.action_trace.at(1), "device_" + pick.device);
   }
 }
 

@@ -417,6 +417,47 @@ TEST(StageTest, SpanTreeDoesNotDependOnPoolWidth) {
   EXPECT_EQ(shape_on(4), narrow);
 }
 
+TEST(StageTest, VerifyGateRecordsOneVerifySpanPerCircuit) {
+  // The gate's checks run in pool jobs, which are untraced; each check's
+  // deciding tier still reaches the trace as a `verify` child span.
+  const std::vector<Circuit> circuits = {
+      small_ghz(), qrc::bench::make_benchmark(BenchmarkFamily::kVqe, 4, 1),
+      qrc::bench::make_benchmark(BenchmarkFamily::kQft, 3, 1)};
+  const Predictor& model = shared_model();  // trains outside the trace
+  const auto trace_on = [&](int width) {
+    qrc::rl::WorkerPool pool(width);
+    TraceContext trace("verify-spans");
+    {
+      const qrc::obs::CurrentTraceScope scope(&trace);
+      (void)model.compile_all(circuits, &pool,
+                              {.verify = qrc::verify::VerifyOptions{}});
+    }
+    return std::pair(JsonValue::parse(trace.to_json()), span_shape(trace));
+  };
+  const auto [narrow, narrow_shape] = trace_on(1);
+  const auto [wide, wide_shape] = trace_on(4);
+  EXPECT_EQ(wide_shape, narrow_shape);
+  for (const JsonValue* parsed : {&narrow, &wide}) {
+    const JsonValue* gate = nullptr;
+    for (const auto& root : parsed->as_object().at("spans").as_array()) {
+      if (root.as_object().at("name").as_string() == "verify_gate") {
+        gate = &root;
+      }
+    }
+    ASSERT_NE(gate, nullptr);
+    const auto kids = gate->as_object().find("children");
+    ASSERT_NE(kids, gate->as_object().end());
+    ASSERT_EQ(kids->second.as_array().size(), circuits.size());
+    for (const auto& kid : kids->second.as_array()) {
+      const auto& span = kid.as_object();
+      EXPECT_EQ(span.at("name").as_string(), "verify");
+      const auto& attrs = span.at("attrs").as_object();
+      EXPECT_TRUE(attrs.contains("method"));
+      EXPECT_EQ(attrs.at("verdict").as_string(), "equivalent");
+    }
+  }
+}
+
 TEST(StageTest, CheckMappedRecordsItsDecidingTier) {
   Circuit rotated = small_ghz();
   rotated.rz(0.3, 1);  // not Clifford: the dense tiers decide
