@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -21,7 +20,6 @@
 #include "obs/log.hpp"
 #include "obs/process_stats.hpp"
 #include "obs/profiler.hpp"
-#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 #include "rl/mlp.hpp"
 #include "service/jsonl.hpp"
@@ -30,6 +28,10 @@
 namespace qrc::net {
 
 namespace {
+
+/// Write-buffer high watermark: past it a connection's reads pause until
+/// the peer drains below half of it.
+constexpr std::size_t kMaxWriteBuffer = 4u << 20;
 
 /// Parses the /profilez query string. Accepts only `seconds` (number in
 /// (0, 60]) and `hz` (integer in [1, 1000]); anything else — unknown
@@ -632,7 +634,6 @@ std::string Server::render_metrics() {
   // Scrape-time families: cheap point reads published on demand so the
   // exposition always reflects the current process and kernel counters.
   obs::publish_process_metrics(service_.metrics());
-  obs::publish_perf_metrics(service_.metrics());
   return service_.metrics().render_prometheus();
 }
 
@@ -705,19 +706,6 @@ std::string Server::render_statusz() const {
          std::to_string(prof.pc_only) + " pc-only), " +
          std::to_string(profilez_requests_->value()) +
          " profilez requests\n";
-  out += "perf_counters: " +
-         std::string(obs::perf_enabled() ? "enabled" : "disabled") +
-         std::string(obs::perf_available() ? ", hardware available"
-                                           : ", hardware unavailable");
-  const auto forward = obs::stage_totals(obs::StageId::kPolicyForward);
-  if (forward.cycles > 0) {
-    char ipc[32];
-    std::snprintf(ipc, sizeof(ipc), "%.2f",
-                  static_cast<double>(forward.instructions) /
-                      static_cast<double>(forward.cycles));
-    out += std::string(", policy_forward ipc ") + ipc;
-  }
-  out += "\n";
   const obs::ProcessStats proc = obs::sample_process_stats();
   out += "process: rss " + std::to_string(proc.rss_bytes / (1 << 20)) +
          " MiB, cpu " + std::to_string(proc.user_cpu_seconds) + "s user / " +
@@ -814,7 +802,7 @@ void Server::handle_line(Conn& conn, const std::string& line) {
     queue_frame(conn,
                 service::serve_error_line(request.id,
                                           service::ErrorCode::kBadRequest,
-                                          std::string("qasm: ") + e.what()),
+                                          e.what()),
                 /*is_error=*/true);
     return;
   }
@@ -928,10 +916,10 @@ void Server::drain_outbound() {
 void Server::update_interest(Conn& conn) {
   const std::size_t backlog = conn.wbuf.size() - conn.woff;
   if (conn.read_paused) {
-    if (backlog * 2 <= config_.max_write_buffer) {
+    if (backlog * 2 <= kMaxWriteBuffer) {
       conn.read_paused = false;
     }
-  } else if (backlog > config_.max_write_buffer) {
+  } else if (backlog > kMaxWriteBuffer) {
     conn.read_paused = true;
   }
   const bool want_read =

@@ -63,9 +63,6 @@ struct ServerConfig {
   /// Per-connection cap on submitted-but-unanswered compiles of accepted
   /// connections; the excess is shed with an "overloaded" error frame.
   std::size_t max_inflight_per_conn = 32;
-  /// Write-buffer high watermark: past it the connection's reads pause
-  /// until the peer drains below half of it.
-  std::size_t max_write_buffer = 4u << 20;
   /// New connections past this are accepted and immediately closed.
   std::size_t max_connections = 256;
   /// HTTP GET /metrics side listener. metrics_port < 0 (default)
@@ -159,8 +156,8 @@ class Server {
                   std::string& status, std::string& content_type,
                   std::string& body);
   [[nodiscard]] std::string render_statusz() const;
-  /// Publishes scrape-time families (qrc_process_*, qrc_profile_*) into
-  /// the service registry and renders the exposition.
+  /// Publishes the scrape-time qrc_process_* families into the service
+  /// registry and renders the exposition.
   [[nodiscard]] std::string render_metrics();
   /// Spawns the worker thread backing one profiling request (HTTP
   /// /profilez or the v1 "profile" op). The sampling window runs off the

@@ -4,6 +4,13 @@
 #include <stdexcept>
 
 namespace qrc::rl {
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
 
 Adam::Adam(std::vector<double*> params, std::vector<double*> grads,
            AdamConfig config)
@@ -28,15 +35,15 @@ void Adam::step(double max_grad_norm) {
       scale = max_grad_norm / (norm + 1e-12);
     }
   }
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const double g = *grads_[i] * scale;
-    m_[i] = config_.beta1 * m_[i] + (1.0 - config_.beta1) * g;
-    v_[i] = config_.beta2 * v_[i] + (1.0 - config_.beta2) * g * g;
+    m_[i] = kBeta1 * m_[i] + (1.0 - kBeta1) * g;
+    v_[i] = kBeta2 * v_[i] + (1.0 - kBeta2) * g * g;
     const double mhat = m_[i] / bc1;
     const double vhat = v_[i] / bc2;
-    *params_[i] -= config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
+    *params_[i] -= config_.lr * mhat / (std::sqrt(vhat) + kEps);
   }
 }
 

@@ -8,14 +8,12 @@
 
 namespace qrc::rl {
 
-/// Adam (Kingma & Ba) with bias correction. The optimizer holds raw
+/// Adam (Kingma & Ba) with bias correction and the usual moment
+/// constants (beta1 0.9, beta2 0.999, eps 1e-8). The optimizer holds raw
 /// pointers collected from the networks it optimizes; the networks must
 /// outlive it.
 struct AdamConfig {
   double lr = 3e-4;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
 };
 
 class Adam {

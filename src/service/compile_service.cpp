@@ -589,7 +589,7 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
       auto& unit = units[static_cast<std::size_t>(u)];
       unit.start = Clock::now();
       unit.verdict = core::verify_compilation(*unit.original, *unit.result,
-                                              config_.verify_options);
+                                              verify::VerifyOptions{});
       unit.duration_us = us_between(unit.start, Clock::now());
     });
     for (const auto& unit : units) {

@@ -51,10 +51,6 @@ struct ServiceConfig {
   /// Model used by requests that do not name one. Empty: requests may
   /// omit the model only while exactly one model is registered.
   std::string default_model;
-  /// Tier configuration for requests submitted with verify=true (the
-  /// QCEC-style post-compile equivalence gate). Fixed seed: replays and
-  /// cache hits reach identical verdicts.
-  verify::VerifyOptions verify_options;
   /// Admission control: per-model-lane queue bound. A submit against a
   /// lane already holding this many queued requests is shed with a typed
   /// ServiceError(kOverloaded) instead of growing the queue without
@@ -118,7 +114,8 @@ class CompileService {
   /// model (ServiceConfig::default_model, or the sole registered model).
   /// The future completes with the response, or with the exception the
   /// compilation raised. `verify` requests the post-compile equivalence
-  /// gate (ServiceConfig::verify_options); the compiled circuit is
+  /// gate with the default verify::VerifyOptions (fixed seed: replays and
+  /// cache hits reach identical verdicts); the compiled circuit is
   /// identical either way. `search`, if set, compiles by policy-guided
   /// lookahead (CompileOptions::search) instead of the greedy rollout;
   /// the cache key then incorporates the full search configuration, so

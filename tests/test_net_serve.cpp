@@ -403,6 +403,11 @@ TEST(NetServeTest, MalformedLinesGetTypedErrorsAndConnectionSurvives) {
   ASSERT_TRUE(line.has_value());
   frame = JsonValue::parse(*line);
   EXPECT_EQ(error_code(frame), "bad_request");
+  // The parser's own message goes out unchanged, prefixed once.
+  const std::string message =
+      str_field(as_object(frame).at("error"), "message");
+  EXPECT_EQ(message.rfind("qasm: parse error", 0), 0u) << message;
+  EXPECT_EQ(message.find("qasm: qasm:"), std::string::npos) << message;
 
   // The connection survived all three refusals.
   client.send("{\"v\":1,\"op\":\"ping\",\"id\":\"alive\"}");

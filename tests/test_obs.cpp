@@ -14,6 +14,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -456,6 +457,32 @@ TEST(StageTest, VerifyGateRecordsOneVerifySpanPerCircuit) {
       EXPECT_EQ(attrs.at("verdict").as_string(), "equivalent");
     }
   }
+}
+
+TEST(StageTest, HandedHistogramObservesOncePerScope) {
+  MetricsRegistry registry;
+  auto& hist = registry.histogram("qrc_t_stage_us", "stage wall time",
+                                  qrc::obs::latency_buckets_us());
+  TraceContext trace("histogram");
+
+  { qrc::obs::Stage stage(StageId::kRollout, &hist); }  // untraced
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_EQ(trace.span_count(), 0u);
+
+  EXPECT_THROW(
+      {
+        qrc::obs::Stage stage(StageId::kRollout, &hist);
+        throw std::runtime_error("unwinds the stage");
+      },
+      std::runtime_error);
+  EXPECT_EQ(hist.count(), 2u);
+
+  {
+    const qrc::obs::CurrentTraceScope scope(&trace);
+    qrc::obs::Stage stage(StageId::kRollout, &hist);
+  }
+  EXPECT_EQ(hist.count(), 3u);
+  EXPECT_EQ(span_names(trace), std::vector<std::string>{"rollout"});
 }
 
 TEST(StageTest, CheckMappedRecordsItsDecidingTier) {

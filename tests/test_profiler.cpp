@@ -1,16 +1,14 @@
 /// \file test_profiler.cpp
-/// \brief Profiler + perf-counter + regression-sentinel suite: signal
-///        safety under a malloc-heavy beam-search burst, folded output
-///        shape and symbolization, param validation on every surface
-///        (library, GET /profilez, the v1 "profile" wire op),
-///        bitwise-unchanged compiles under profiling, perf_event_open
-///        clean degradation, process self-metrics, and qrc_bench_diff
-///        gate semantics (advisory vs hard regression).
+/// \brief Profiler + regression-sentinel suite: signal safety under a
+///        malloc-heavy beam-search burst, folded output shape and
+///        symbolization, param validation on every surface (library,
+///        GET /profilez, the v1 "profile" wire op), bitwise-unchanged
+///        compiles under profiling, process self-metrics, and
+///        qrc_bench_diff gate semantics (advisory vs hard regression).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
 #include <atomic>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -26,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/process_stats.hpp"
 #include "obs/profiler.hpp"
-#include "obs/stage.hpp"
 #include "search/search.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
@@ -155,68 +152,6 @@ TEST(Profiler, ResetClearsRingAndCounters) {
   EXPECT_EQ(stats.retained, 0u);
   EXPECT_FALSE(stats.active);
   EXPECT_TRUE(Profiler::render_folded().empty());
-}
-
-// ------------------------------------------------------- perf counters ---
-
-TEST(PerfCounters, DisabledScopesAreFreeAndRecordNothing) {
-  obs::set_perf_enabled(false);
-  obs::reset_stage_totals();
-  {
-    obs::Stage scope(obs::StageId::kPolicyForward);
-  }
-  const auto totals = obs::stage_totals(obs::StageId::kPolicyForward);
-  EXPECT_EQ(totals.scopes, 0u);
-  EXPECT_EQ(totals.cycles, 0u);
-}
-
-/// Works both ways by design: on hosts with perf_event_open the Stage
-/// accumulates real counts; on locked-down runners it must degrade to a
-/// clean skip (no totals, perf_available() false) without erroring.
-TEST(PerfCounters, ScopesAccumulateOrDegradeCleanly) {
-  obs::set_perf_enabled(true);
-  obs::reset_stage_totals();
-  volatile std::uint64_t sink = 0;
-  {
-    obs::Stage scope(obs::StageId::kTableauSweep);
-    for (int i = 0; i < 200000; ++i) {
-      sink = sink + static_cast<std::uint64_t>(i) * 2654435761u;
-    }
-  }
-  const auto totals = obs::stage_totals(obs::StageId::kTableauSweep);
-  if (obs::perf_available()) {
-    EXPECT_EQ(totals.scopes, 1u);
-    EXPECT_GT(totals.cycles, 0u);
-    EXPECT_GT(totals.instructions, 0u);
-  } else {
-    EXPECT_EQ(totals.scopes, 0u);
-    EXPECT_EQ(totals.cycles, 0u);
-  }
-  obs::set_perf_enabled(false);
-}
-
-TEST(PerfCounters, PublishesMetricFamilies) {
-  obs::MetricsRegistry registry;
-  obs::publish_perf_metrics(registry);
-  const auto families = registry.family_names("qrc_profile_");
-  EXPECT_GE(families.size(), 8u);
-  // Every stage appears as a labelled series of the cycles family.
-  const auto series = registry.counter_series("qrc_profile_cycles_total");
-  EXPECT_TRUE(series.empty());  // gauges, not counters
-  // gauge_value defaults to 0 for missing series; assert registration
-  // via the rendered exposition instead.
-  const std::string text = registry.render_prometheus();
-  EXPECT_NE(text.find("qrc_profile_ipc"), std::string::npos);
-  for (const char* stage :
-       {"rollout", "search", "greedy_rollout", "policy_forward", "env_step",
-        "search_lookahead", "leaf_eval", "search_expand", "verify_gate",
-        "verify_clifford", "verify_miter", "verify_stimuli",
-        "tableau_sweep"}) {
-    EXPECT_NE(text.find(std::string("stage=\"") + stage + "\""),
-              std::string::npos)
-        << stage;
-  }
-  EXPECT_NE(text.find("qrc_profile_perf_available"), std::string::npos);
 }
 
 // ------------------------------------------------------- process stats ---
@@ -488,18 +423,17 @@ TEST(OpsSurfaces, MetricsCarriesProfilerAndProcessFamilies) {
                                             "/metrics"));
   for (const char* family :
        {"qrc_process_resident_memory_bytes", "qrc_process_cpu_user_seconds",
-        "qrc_process_open_fds", "qrc_profile_perf_available",
-        "qrc_obs_scrape_seconds", "qrc_net_profilez_requests_total"}) {
+        "qrc_process_open_fds", "qrc_obs_scrape_seconds",
+        "qrc_net_profilez_requests_total"}) {
     EXPECT_NE(body.find(family), std::string::npos) << family;
   }
 }
 
-TEST(OpsSurfaces, StatuszShowsProfilerPerfAndProcessRows) {
+TEST(OpsSurfaces, StatuszShowsProfilerAndProcessRows) {
   ProfTestServer ts(/*with_model=*/false);
   const std::string body = body_of(http_get(ts.server.metrics_port(),
                                             "/statusz"));
   EXPECT_NE(body.find("profiler:"), std::string::npos) << body;
-  EXPECT_NE(body.find("perf_counters:"), std::string::npos) << body;
   EXPECT_NE(body.find("process: rss"), std::string::npos) << body;
 }
 

@@ -518,7 +518,7 @@ TEST(CompileServiceTest, VerifyFlagGatesAndMatchesDirectPredictor) {
   expect_same_result(cached.result, direct, "cached verified vs direct");
   // And the verdict matches what the Predictor gate computes directly.
   const auto direct_verdict = qrc::core::verify_compilation(
-      circuit, direct, fresh.config().verify_options);
+      circuit, direct, qrc::verify::VerifyOptions{});
   EXPECT_EQ(verified.result.verification->verdict, direct_verdict.verdict);
   EXPECT_EQ(verified.result.verification->method, direct_verdict.method);
   EXPECT_EQ(verified.result.verification->confidence,

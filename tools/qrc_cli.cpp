@@ -25,7 +25,7 @@
 //       prints the span tree after the result. --profile samples the
 //       compile with the in-process SIGPROF profiler (default 97 Hz,
 //       override with --profile-hz) and dumps folded flamegraph stacks
-//       plus per-kernel hardware-counter summaries to stderr.
+//       to stderr.
 //   qrc verify <a.qasm> <b.qasm> [--stimuli N] [--seed N]
 //              [--max-miter-qubits N] [--max-stimuli-qubits N]
 //       Checks two circuits for functional equivalence with the tiered
@@ -82,6 +82,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -101,7 +102,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 #include "obs/training_logger.hpp"
 #include "rl/mlp.hpp"
@@ -163,22 +163,35 @@ struct ParsedArgs {
     return &it->second.front();
   }
 
-  [[nodiscard]] int get_int(const char* key, int fallback) const {
+  /// The integer value of a non-repeatable flag, or `fallback` when it
+  /// is absent; throws when the value is not an integer or lies outside
+  /// [min, max].
+  [[nodiscard]] int get_int(const char* key, int fallback,
+                            int min = std::numeric_limits<int>::min(),
+                            int max = std::numeric_limits<int>::max()) const {
     const std::string* v = single(key);
     if (v == nullptr) {
       return fallback;
     }
+    int parsed = 0;
     try {
       std::size_t end = 0;
-      const int parsed = std::stoi(*v, &end);
+      parsed = std::stoi(*v, &end);
       if (end != v->size()) {
         throw std::invalid_argument(*v);
       }
-      return parsed;
     } catch (const std::exception&) {
       throw std::runtime_error("--" + std::string(key) +
                                " expects an integer, got '" + *v + "'");
     }
+    if (parsed < min || parsed > max) {
+      const std::string range =
+          max == std::numeric_limits<int>::max()
+              ? ">= " + std::to_string(min)
+              : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+      throw std::runtime_error("--" + std::string(key) + " must be " + range);
+    }
+    return parsed;
   }
 };
 
@@ -303,10 +316,10 @@ int cmd_train(int argc, char** argv) {
   core::PredictorConfig config;
   config.reward = parse_reward(*reward_flag);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  config.ppo.total_timesteps = args.get_int("steps", 100000);
+  config.ppo.total_timesteps = args.get_int("steps", 100000, 1);
   config.ppo.steps_per_update = 2048;
-  config.num_envs = std::max(1, args.get_int("num-envs", 1));
-  config.rollout_workers = std::max(0, args.get_int("workers", 0));
+  config.num_envs = args.get_int("num-envs", 1, 1);
+  config.rollout_workers = args.get_int("workers", 0, 0);
 
   const int min_q = args.get_int("min-qubits", 2);
   const int max_q = args.get_int("max-qubits", 20);
@@ -404,11 +417,7 @@ int cmd_compile(int argc, char** argv) {
   }
   if (const std::string* spec = args.single("search")) {
     options.search = search::parse_spec(*spec);
-    const int deadline = args.get_int("deadline-ms", 0);
-    if (deadline < 0) {
-      throw std::runtime_error("--deadline-ms must be >= 0");
-    }
-    options.search->deadline_ms = deadline;
+    options.search->deadline_ms = args.get_int("deadline-ms", 0, 0);
   } else if (args.single("deadline-ms") != nullptr) {
     throw std::runtime_error("--deadline-ms requires --search");
   }
@@ -427,18 +436,13 @@ int cmd_compile(int argc, char** argv) {
 
   // --profile: sample the whole compile with the in-process SIGPROF
   // profiler and dump the folded stacks to stderr afterwards (stdout
-  // stays the human-readable report). Hardware counters are armed too,
-  // so the seams accumulate cycles/instructions while the compile runs.
+  // stays the human-readable report).
   const bool profile = args.single("profile") != nullptr ||
                        args.single("profile-hz") != nullptr;
-  const int profile_hz = args.get_int("profile-hz", 97);
+  const int profile_hz = args.get_int("profile-hz", 97, obs::Profiler::kMinHz,
+                                      obs::Profiler::kMaxHz);
   if (profile) {
-    if (profile_hz < obs::Profiler::kMinHz ||
-        profile_hz > obs::Profiler::kMaxHz) {
-      throw std::runtime_error("--profile-hz must be in [1, 1000]");
-    }
     obs::Profiler::enroll_current_thread();
-    obs::set_perf_enabled(true);
     if (!obs::Profiler::start(profile_hz)) {
       std::fprintf(stderr, "profiler: could not start (busy?)\n");
     }
@@ -464,34 +468,6 @@ int cmd_compile(int argc, char** argv) {
                  static_cast<unsigned long long>(pstats.dropped),
                  static_cast<unsigned long long>(pstats.pc_only));
     std::fputs(obs::Profiler::render_folded().c_str(), stderr);
-    if (obs::perf_available()) {
-      for (int s = 0; s < static_cast<int>(obs::StageId::kCount); ++s) {
-        const auto stage = static_cast<obs::StageId>(s);
-        const auto totals = obs::stage_totals(stage);
-        if (totals.scopes == 0 || totals.cycles == 0) {
-          continue;
-        }
-        std::fprintf(
-            stderr,
-            "# perf %-16s %llu scopes, %.2f ipc, %.4f cache miss rate, "
-            "%.4f branch miss rate\n",
-            obs::stage_name(stage).data(),
-            static_cast<unsigned long long>(totals.scopes),
-            static_cast<double>(totals.instructions) /
-                static_cast<double>(totals.cycles),
-            totals.cache_refs > 0
-                ? static_cast<double>(totals.cache_misses) /
-                      static_cast<double>(totals.cache_refs)
-                : 0.0,
-            totals.branches > 0
-                ? static_cast<double>(totals.branch_misses) /
-                      static_cast<double>(totals.branches)
-                : 0.0);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "# perf counters unavailable (perf_event_open denied)\n");
-    }
   }
   std::printf("target: %s\n", result.device->name().c_str());
   std::printf("reward (%s): %.4f%s\n",
@@ -664,8 +640,7 @@ int cmd_serve(int argc, char** argv) {
   // --profile-hz N: sample the whole serve lifetime and dump folded
   // stacks to stderr at shutdown. While a startup session is running,
   // GET /profilez and the v1 "profile" op report busy (the interval
-  // timer is a process-wide resource). Also arms the per-kernel
-  // hardware counters so /metrics carries qrc_profile_* totals.
+  // timer is a process-wide resource).
   struct ServeProfile {
     bool started = false;
     int hz = 0;
@@ -685,12 +660,9 @@ int cmd_serve(int argc, char** argv) {
     }
   } serve_profile;
   if (args.single("profile-hz") != nullptr) {
-    const int hz = args.get_int("profile-hz", 97);
-    if (hz < obs::Profiler::kMinHz || hz > obs::Profiler::kMaxHz) {
-      throw std::runtime_error("--profile-hz must be in [1, 1000]");
-    }
+    const int hz = args.get_int("profile-hz", 97, obs::Profiler::kMinHz,
+                                obs::Profiler::kMaxHz);
     obs::Profiler::enroll_current_thread();
-    obs::set_perf_enabled(true);
     if (obs::Profiler::start(hz)) {
       serve_profile.started = true;
       serve_profile.hz = hz;
@@ -717,10 +689,10 @@ int cmd_serve(int argc, char** argv) {
   if (listen != nullptr) {
     std::tie(net_config.host, net_config.port) =
         net::parse_host_port(*listen);
-    net_config.max_inflight_per_conn = static_cast<std::size_t>(
-        std::max(1, args.get_int("max-inflight", 32)));
-    net_config.max_connections = static_cast<std::size_t>(
-        std::max(1, args.get_int("max-connections", 256)));
+    net_config.max_inflight_per_conn =
+        static_cast<std::size_t>(args.get_int("max-inflight", 32, 1));
+    net_config.max_connections =
+        static_cast<std::size_t>(args.get_int("max-connections", 256, 1));
   } else {
     net_config.port = -1;
     for (const char* flag : {"max-inflight", "max-connections"}) {
@@ -731,9 +703,8 @@ int cmd_serve(int argc, char** argv) {
       }
     }
   }
-  net_config.max_frame_bytes = static_cast<std::size_t>(
-      std::max(1, args.get_int("max-frame-bytes",
-                               static_cast<int>(net_config.max_frame_bytes))));
+  net_config.max_frame_bytes = static_cast<std::size_t>(args.get_int(
+      "max-frame-bytes", static_cast<int>(net_config.max_frame_bytes), 1));
   if (const std::string* metrics = args.single("metrics-listen")) {
     std::tie(net_config.metrics_host, net_config.metrics_port) =
         net::parse_host_port(*metrics);
@@ -743,9 +714,9 @@ int cmd_serve(int argc, char** argv) {
   config.max_batch = args.get_int("max-batch", 32);
   config.max_wait_us = args.get_int("max-wait-us", 2000);
   config.cache_entries =
-      static_cast<std::size_t>(std::max(0, args.get_int("cache-entries", 1024)));
-  config.max_lane_queue = static_cast<std::size_t>(
-      std::max(0, args.get_int("max-lane-queue", 0)));
+      static_cast<std::size_t>(args.get_int("cache-entries", 1024, 0));
+  config.max_lane_queue =
+      static_cast<std::size_t>(args.get_int("max-lane-queue", 0, 0));
   if (const std::string* def = args.single("default-model")) {
     config.default_model = *def;
   }
