@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the compilation substrate: pass
 // throughput, routing, feature extraction, the reward functions and PPO
 // machinery. These quantify the per-step cost of the RL environment, plus
-// the encoding of a served result.
+// the decoding and encoding of a served circuit.
 
 #include <benchmark/benchmark.h>
 
@@ -9,8 +9,10 @@
 
 #include "baselines/baselines.hpp"
 #include "bench_suite/benchmarks.hpp"
+#include "core/actions.hpp"
 #include "device/library.hpp"
 #include "features/features.hpp"
+#include "ir/qasm.hpp"
 #include "passes/layout/layout.hpp"
 #include "passes/opt/cancellation.hpp"
 #include "passes/opt/composite.hpp"
@@ -206,6 +208,36 @@ void BM_ServeResponseLine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServeResponseLine);
+
+/// Parsing the wire text of a compiled circuit, as a served request's
+/// `qasm` field arrives.
+void BM_FromQasm(benchmark::State& state) {
+  const std::string text =
+      qrc::ir::to_qasm(qrc::baselines::compile_qiskit_o3_like(
+                           test_circuit(static_cast<int>(state.range(0))),
+                           washington())
+                           .circuit);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qrc::ir::from_qasm(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_FromQasm)->Arg(10)->Arg(20);
+
+/// The validity mask of all 29 actions in a device-chosen 20-qubit state,
+/// computed once per rollout step.
+void BM_ActionMask(benchmark::State& state) {
+  qrc::core::CompilationState compilation;
+  compilation.circuit = test_circuit(20);
+  compilation.platform = qrc::device::Platform::kIBM;
+  compilation.device = &washington();
+  const auto& registry = qrc::core::ActionRegistry::instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.mask(compilation));
+  }
+}
+BENCHMARK(BM_ActionMask);
 
 }  // namespace
 

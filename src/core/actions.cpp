@@ -20,8 +20,8 @@ class PlatformAction final : public Action {
                ActionType::kPlatformSelection),
         platform_(platform) {}
 
-  bool valid(const CompilationState& state) const override {
-    return state.state() == MdpState::kStart;
+  bool valid(const CompilationState&, MdpState mdp) const override {
+    return mdp == MdpState::kStart;
   }
 
   void apply(CompilationState& state, std::uint64_t) const override {
@@ -39,8 +39,8 @@ class DeviceAction final : public Action {
                ActionType::kDeviceSelection),
         device_(&device::get_device(id)) {}
 
-  bool valid(const CompilationState& state) const override {
-    return state.state() == MdpState::kPlatformChosen &&
+  bool valid(const CompilationState& state, MdpState mdp) const override {
+    return mdp == MdpState::kPlatformChosen &&
            state.platform == device_->platform() &&
            state.circuit.num_qubits() <= device_->num_qubits();
   }
@@ -57,9 +57,10 @@ class SynthesisAction final : public Action {
  public:
   SynthesisAction() : Action("BasisTranslator", ActionType::kSynthesis) {}
 
-  bool valid(const CompilationState& state) const override {
-    const MdpState s = state.state();
-    return (s == MdpState::kDeviceChosen) && !state.is_native();
+  bool valid(const CompilationState&, MdpState mdp) const override {
+    // DeviceChosen is the state of a device pick whose circuit is not yet
+    // native (an all-native circuit is OnlyNativeGates or Done).
+    return mdp == MdpState::kDeviceChosen;
   }
 
   void apply(CompilationState& state, std::uint64_t seed) const override {
@@ -78,7 +79,7 @@ class LayoutAction final : public Action {
       : Action(std::string(passes::layout_name(kind)), ActionType::kLayout),
         kind_(kind) {}
 
-  bool valid(const CompilationState& state) const override {
+  bool valid(const CompilationState& state, MdpState) const override {
     return state.device != nullptr && !state.layout_applied;
   }
 
@@ -101,11 +102,14 @@ class RoutingAction final : public Action {
       : Action(std::string(passes::routing_name(kind)), ActionType::kRouting),
         kind_(kind) {}
 
-  bool valid(const CompilationState& state) const override {
+  bool valid(const CompilationState& state, MdpState mdp) const override {
     // Routing needs a placement, a 2q-only circuit, and unresolved
-    // connectivity.
+    // connectivity. Done means mapped and OnlyNativeGates means unmapped;
+    // only DeviceChosen leaves the topology to check.
     return state.device != nullptr && state.layout_applied &&
-           state.circuit.max_gate_arity_at_most(2) && !state.is_mapped();
+           mdp != MdpState::kDone &&
+           state.circuit.max_gate_arity_at_most(2) &&
+           (mdp == MdpState::kOnlyNativeGates || !state.is_mapped());
   }
 
   void apply(CompilationState& state, std::uint64_t seed) const override {
@@ -130,10 +134,10 @@ class OptimizationAction final : public Action {
       : Action(std::string(pass->name()), ActionType::kOptimization),
         pass_(std::move(pass)) {}
 
-  bool valid(const CompilationState& state) const override {
+  bool valid(const CompilationState&, MdpState mdp) const override {
     // Optimizations are valid in every non-terminal state (the blue arrows
     // of Fig. 2).
-    return state.state() != MdpState::kDone;
+    return mdp != MdpState::kDone;
   }
 
   void apply(CompilationState& state, std::uint64_t seed) const override {
@@ -225,9 +229,14 @@ ActionRegistry::ActionRegistry() {
 }
 
 std::vector<bool> ActionRegistry::mask(const CompilationState& state) const {
+  return mask(state, state.state());
+}
+
+std::vector<bool> ActionRegistry::mask(const CompilationState& state,
+                                       MdpState mdp) const {
   std::vector<bool> out(actions_.size());
   for (std::size_t i = 0; i < actions_.size(); ++i) {
-    out[i] = actions_[i]->valid(state);
+    out[i] = actions_[i]->valid(state, mdp);
   }
   return out;
 }

@@ -3,7 +3,9 @@
 ///        (Section IV-A): 4 platform selections, 5 device selections,
 ///        1 synthesis, 3 layouts, 4 routings and 12 optimizations, each
 ///        with a uniform circuit-in/circuit-out interface and per-state
-///        validity rules.
+///        validity rules. A step's MdpState costs a scan of the circuit
+///        once a device is chosen, so the mask computes it once and hands
+///        it to every action's rule.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,13 @@ class Action {
 
   /// True if this action may be applied in the given state (the masking
   /// rules of Section III-A).
-  [[nodiscard]] virtual bool valid(const CompilationState& state) const = 0;
+  [[nodiscard]] bool valid(const CompilationState& state) const {
+    return valid(state, state.state());
+  }
+
+  /// valid() for a caller that already holds `mdp == state.state()`.
+  [[nodiscard]] virtual bool valid(const CompilationState& state,
+                                   MdpState mdp) const = 0;
 
   /// Applies the action in place. `seed` drives stochastic passes.
   virtual void apply(CompilationState& state, std::uint64_t seed) const = 0;
@@ -63,8 +71,12 @@ class ActionRegistry {
   [[nodiscard]] int size() const { return static_cast<int>(actions_.size()); }
   [[nodiscard]] const Action& at(int id) const { return *actions_[static_cast<std::size_t>(id)]; }
 
-  /// Validity mask over all actions for a state.
+  /// Validity mask over all actions for a state; computes state() once.
   [[nodiscard]] std::vector<bool> mask(const CompilationState& state) const;
+
+  /// mask() for a caller that already holds `mdp == state.state()`.
+  [[nodiscard]] std::vector<bool> mask(const CompilationState& state,
+                                       MdpState mdp) const;
 
   /// Index lookup by action name; throws on unknown name.
   [[nodiscard]] int index_of(std::string_view name) const;

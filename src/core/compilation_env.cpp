@@ -64,17 +64,28 @@ std::vector<double> CompilationEnv::observe_state(
 
 void CompilationEnv::apply_action(CompilationState& state, int action,
                                   std::uint64_t seed) {
+  apply_action(state, action, seed, state.state());
+}
+
+void CompilationEnv::apply_action(CompilationState& state, int action,
+                                  std::uint64_t seed, MdpState mdp) {
   const ActionRegistry& registry = ActionRegistry::instance();
   if (action < 0 || action >= registry.size()) {
     throw std::out_of_range("CompilationEnv::step: bad action id");
   }
   const Action& act = registry.at(action);
-  if (!act.valid(state)) {
+  if (!act.valid(state, mdp)) {
     throw std::logic_error("CompilationEnv::step: invalid action '" +
                            act.name() + "' in state " +
-                           std::string(mdp_state_name(state.state())));
+                           std::string(mdp_state_name(mdp)));
   }
   act.apply(state, seed);
+}
+
+bool CompilationEnv::keeps_circuit(int action) {
+  const ActionType type = ActionRegistry::instance().at(action).type();
+  return type == ActionType::kPlatformSelection ||
+         type == ActionType::kDeviceSelection;
 }
 
 CompilationState CompilationEnv::peek_step(const CompilationState& state,
@@ -96,24 +107,31 @@ std::vector<double> CompilationEnv::reset() {
 std::vector<double> CompilationEnv::reset_with(const ir::Circuit& circuit) {
   state_ = CompilationState{};
   state_.circuit = circuit;
+  mdp_ = MdpState::kStart;
   steps_in_episode_ = 0;
   ++episode_counter_;
-  return observe();
+  obs_ = observe();
+  return obs_;
 }
 
 std::vector<bool> CompilationEnv::action_mask() const {
-  return registry_.mask(state_);
+  return registry_.mask(state_, mdp_);
 }
 
 rl::StepResult CompilationEnv::step(int action) {
   // Deterministic per-step seed so stochastic passes are reproducible.
   apply_action(state_, action,
-               step_seed(config_.seed, episode_counter_, steps_in_episode_));
+               step_seed(config_.seed, episode_counter_, steps_in_episode_),
+               mdp_);
   ++steps_in_episode_;
+  mdp_ = state_.state();
 
   rl::StepResult result;
-  result.observation = observe();
-  if (state_.state() == MdpState::kDone) {
+  if (obs_.empty() || !keeps_circuit(action)) {
+    obs_ = observe();
+  }
+  result.observation = obs_;
+  if (mdp_ == MdpState::kDone) {
     result.done = true;
     result.reward =
         reward::compute_reward(config_.reward, state_.circuit, *state_.device);

@@ -80,6 +80,15 @@ class CompilationEnv final : public rl::Env {
   static void apply_action(CompilationState& state, int action,
                            std::uint64_t seed);
 
+  /// apply_action() for a caller that already holds
+  /// `mdp == state.state()`.
+  static void apply_action(CompilationState& state, int action,
+                           std::uint64_t seed, MdpState mdp);
+
+  /// True for a platform or device pick: the circuit, and so its
+  /// observation, is the same after the action as before.
+  [[nodiscard]] static bool keeps_circuit(int action);
+
   /// Copy-then-apply: the cheap per-child expansion path for search.
   [[nodiscard]] static CompilationState peek_step(
       const CompilationState& state, int action, std::uint64_t seed);
@@ -91,6 +100,8 @@ class CompilationEnv final : public rl::Env {
   CompilationEnvConfig config_;
   const ActionRegistry& registry_;
   CompilationState state_;
+  MdpState mdp_ = MdpState::kStart;  ///< state_.state()
+  std::vector<double> obs_;          ///< observation of state_
   std::mt19937_64 rng_;
   int steps_in_episode_ = 0;
   std::uint64_t episode_counter_ = 0;

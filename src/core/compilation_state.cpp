@@ -19,19 +19,7 @@ std::string_view mdp_state_name(MdpState state) {
 }
 
 bool CompilationState::is_native() const {
-  if (!platform.has_value()) {
-    return false;
-  }
-  const auto& native = device::native_gates(*platform);
-  for (const ir::Operation& op : circuit.ops()) {
-    if (!op.is_unitary() || op.kind() == ir::GateKind::kBarrier) {
-      continue;
-    }
-    if (!native.contains(op.kind())) {
-      return false;
-    }
-  }
-  return true;
+  return platform.has_value() && device::circuit_is_native(*platform, circuit);
 }
 
 bool CompilationState::is_mapped() const {

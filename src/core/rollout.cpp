@@ -11,10 +11,10 @@
 
 namespace qrc::core {
 
-Fingerprint fingerprint_of(const CompilationState& s) {
+Fingerprint fingerprint_of(const CompilationState& s, MdpState mdp) {
   return {s.circuit.size(),        s.circuit.two_qubit_gate_count(),
           s.circuit.gate_count(),  s.circuit.global_phase(),
-          static_cast<int>(s.state()), s.layout_applied, s.device};
+          static_cast<int>(mdp),   s.layout_applied, s.device};
 }
 
 std::vector<GreedyEpisode> run_greedy_episodes(
@@ -32,9 +32,11 @@ std::vector<GreedyEpisode> run_greedy_episodes(
   }
   // After a platform pick that no device selection can follow, Done is out
   // of reach: no pass changes the circuit's width.
-  const auto no_device_fits = [&](const CompilationState& state) {
-    return std::none_of(device_actions.begin(), device_actions.end(),
-                        [&](const Action* a) { return a->valid(state); });
+  const auto no_device_fits = [&](const CompilationState& state,
+                                  MdpState mdp) {
+    return std::none_of(
+        device_actions.begin(), device_actions.end(),
+        [&](const Action* a) { return a->valid(state, mdp); });
   };
 
   struct Episode {
@@ -52,7 +54,7 @@ std::vector<GreedyEpisode> run_greedy_episodes(
     auto& ep = episodes[static_cast<std::size_t>(c)];
     ep.out.state.circuit = circuits[c];
     ep.obs = CompilationEnv::observe_state(ep.out.state);
-    ep.visited.insert(fingerprint_of(ep.out.state));
+    ep.visited.insert(fingerprint_of(ep.out.state, ep.mdp));
   }
 
   std::vector<int> live;
@@ -85,7 +87,7 @@ std::vector<GreedyEpisode> run_greedy_episodes(
         obs_batch[i * obs_size + static_cast<std::size_t>(masked_feature)] =
             0.0;
       }
-      mask_batch[i] = registry.mask(ep.out.state);
+      mask_batch[i] = registry.mask(ep.out.state, ep.mdp);
     }
     {
       obs::Stage stage(obs::StageId::kPolicyForward);
@@ -126,16 +128,17 @@ std::vector<GreedyEpisode> run_greedy_episodes(
       pool.parallel_for(static_cast<int>(stepping.size()), [&](int i) {
         auto& ep = episodes[static_cast<std::size_t>(
             stepping[static_cast<std::size_t>(i)])];
-        CompilationEnv::apply_action(ep.out.state, ep.action, seed);
+        CompilationEnv::apply_action(ep.out.state, ep.action, seed, ep.mdp);
         ep.mdp = ep.out.state.state();
-        if (ep.mdp != MdpState::kDone) {
+        if (ep.mdp != MdpState::kDone &&
+            !CompilationEnv::keeps_circuit(ep.action)) {
           ep.obs = CompilationEnv::observe_state(ep.out.state);
         }
       });
     }
     for (const int c : stepping) {
       auto& ep = episodes[static_cast<std::size_t>(c)];
-      if (!ep.visited.insert(fingerprint_of(ep.out.state)).second) {
+      if (!ep.visited.insert(fingerprint_of(ep.out.state, ep.mdp)).second) {
         ep.exhausted.insert(ep.action);  // known state: no progress
       } else {
         ep.exhausted.clear();
@@ -145,7 +148,7 @@ std::vector<GreedyEpisode> run_greedy_episodes(
         ep.out.reward = reward::compute_reward(
             env_config.reward, ep.out.state.circuit, *ep.out.state.device);
       } else if (ep.mdp == MdpState::kPlatformChosen &&
-                 no_device_fits(ep.out.state)) {
+                 no_device_fits(ep.out.state, ep.mdp)) {
         ep.active = false;  // the caller's fallback restarts from the input
       }
     }

@@ -25,7 +25,9 @@ namespace qrc::core {
 using Fingerprint = std::tuple<std::size_t, int, int, double, int, bool,
                                const device::Device*>;
 
-[[nodiscard]] Fingerprint fingerprint_of(const CompilationState& state);
+/// `mdp` is `state.state()`, which every caller already holds.
+[[nodiscard]] Fingerprint fingerprint_of(const CompilationState& state,
+                                         MdpState mdp);
 
 /// Outcome of one greedy episode.
 struct GreedyEpisode {
@@ -45,7 +47,10 @@ struct GreedyEpisode {
 /// lands on an already-visited state and everything is unbanned on
 /// genuine progress. An episode whose platform pick leaves no device wide
 /// enough for the circuit ends at that pick (not done): no pass changes
-/// the width, so Done is out of reach. `masked_feature` >= 0 zeroes that
+/// the width, so Done is out of reach. Each episode's MdpState is computed
+/// once per step, after its action, and serves the next mask, the
+/// fingerprint and the dead-end check; a platform or device pick leaves
+/// the circuit, and so the observation, as it was. `masked_feature` >= 0 zeroes that
 /// observation column at every inference step (the ablation hook).
 ///
 /// Per-step seeds follow CompilationEnv::step_seed(seed, 1, step), i.e.

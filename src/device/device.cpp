@@ -19,30 +19,33 @@ std::string_view platform_name(Platform p) {
   return "unknown";
 }
 
-const std::set<ir::GateKind>& native_gates(Platform p) {
+ir::GateSet native_gates(Platform p) {
   using ir::GateKind;
-  static const std::set<GateKind> kIbm{GateKind::kRZ, GateKind::kSX,
-                                       GateKind::kX, GateKind::kCX,
-                                       GateKind::kI};
-  static const std::set<GateKind> kRigetti{GateKind::kRX, GateKind::kRZ,
-                                           GateKind::kCZ, GateKind::kI};
-  static const std::set<GateKind> kIonq{GateKind::kRX, GateKind::kRY,
-                                        GateKind::kRZ, GateKind::kRXX,
-                                        GateKind::kI};
-  static const std::set<GateKind> kOqc{GateKind::kRZ, GateKind::kSX,
-                                       GateKind::kX, GateKind::kECR,
-                                       GateKind::kI};
   switch (p) {
     case Platform::kIBM:
-      return kIbm;
+      return {GateKind::kRZ, GateKind::kSX, GateKind::kX, GateKind::kCX,
+              GateKind::kI};
     case Platform::kRigetti:
-      return kRigetti;
+      return {GateKind::kRX, GateKind::kRZ, GateKind::kCZ, GateKind::kI};
     case Platform::kIonQ:
-      return kIonq;
+      return {GateKind::kRX, GateKind::kRY, GateKind::kRZ, GateKind::kRXX,
+              GateKind::kI};
     case Platform::kOQC:
-      return kOqc;
+      return {GateKind::kRZ, GateKind::kSX, GateKind::kX, GateKind::kECR,
+              GateKind::kI};
   }
   throw std::invalid_argument("native_gates: unknown platform");
+}
+
+bool circuit_is_native(Platform p, const ir::Circuit& circuit) {
+  const ir::GateSet native = native_gates(p);
+  for (const ir::Operation& op : circuit.ops()) {
+    // Measures, barriers and resets are not unitary: they run everywhere.
+    if (op.is_unitary() && !native.contains(op.kind())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 namespace {
@@ -107,19 +110,14 @@ Device::Device(std::string name, Platform platform, CouplingMap coupling,
           synthesize_calibration(platform, coupling_, calibration_seed)) {}
 
 bool Device::is_native(ir::GateKind kind) const {
-  if (!ir::gate_info(kind).is_unitary || kind == ir::GateKind::kBarrier) {
+  if (!ir::gate_info(kind).is_unitary) {
     return true;  // measures / barriers / resets execute everywhere
   }
   return native_gates(platform_).contains(kind);
 }
 
 bool Device::circuit_is_native(const ir::Circuit& circuit) const {
-  for (const ir::Operation& op : circuit.ops()) {
-    if (!is_native(op.kind())) {
-      return false;
-    }
-  }
-  return true;
+  return device::circuit_is_native(platform_, circuit);
 }
 
 bool Device::circuit_respects_topology(const ir::Circuit& circuit) const {

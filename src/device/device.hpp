@@ -1,12 +1,12 @@
 /// \file device.hpp
-/// \brief Quantum device model: platform, native gate set, connectivity and
-///        calibration data (gate/readout error rates) used by the expected-
-///        fidelity reward.
+/// \brief Quantum device model: platform, native gate set (a bitmask over
+///        GateKind, so the MDP's per-op nativeness test is one AND),
+///        connectivity and calibration data (gate/readout error rates) used
+///        by the expected-fidelity reward.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -27,7 +27,12 @@ enum class Platform : std::uint8_t {
 
 /// Native single- and two-qubit gate kinds of a platform (non-unitary ops
 /// and barriers are always allowed).
-[[nodiscard]] const std::set<ir::GateKind>& native_gates(Platform p);
+[[nodiscard]] ir::GateSet native_gates(Platform p);
+
+/// True if every unitary gate of the circuit is native on platform `p`:
+/// the one nativeness rule behind Device::circuit_is_native and the MDP's
+/// OnlyNativeGates state.
+[[nodiscard]] bool circuit_is_native(Platform p, const ir::Circuit& circuit);
 
 /// Synthetic calibration data: deterministic per device name, magnitudes
 /// modeled on 2022-era published medians per platform.

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -59,6 +60,29 @@ enum class GateKind : std::uint8_t {
 
 /// Number of distinct gate kinds (for table sizing).
 inline constexpr int kNumGateKinds = static_cast<int>(GateKind::kReset) + 1;
+
+/// A set of gate kinds, one bit per kind: membership is a shift and a
+/// mask. Enumerate it in kind order by testing each kind.
+class GateSet {
+ public:
+  constexpr GateSet(std::initializer_list<GateKind> kinds) {
+    for (const GateKind kind : kinds) {
+      bits_ |= bit(kind);
+    }
+  }
+
+  [[nodiscard]] constexpr bool contains(GateKind kind) const {
+    return (bits_ & bit(kind)) != 0;
+  }
+
+ private:
+  static constexpr std::uint64_t bit(GateKind kind) {
+    return std::uint64_t{1} << static_cast<unsigned>(kind);
+  }
+
+  std::uint64_t bits_ = 0;
+};
+static_assert(kNumGateKinds <= 64, "GateSet holds one bit per kind");
 
 /// Static per-kind metadata.
 struct GateInfo {

@@ -1,10 +1,11 @@
 #include "ir/qasm.hpp"
 
-#include <cctype>
+#include <bit>
 #include <charconv>
 #include <cmath>
-#include <sstream>
+#include <cstdint>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "la/complex.hpp"
@@ -25,6 +26,45 @@ void append_param(std::string& out, double v) {
   const auto res = std::to_chars(buffer, buffer + sizeof(buffer), v,
                                  std::chars_format::general, 15);
   out.append(buffer, res.ptr);
+}
+
+/// glibc printf's `%a`, the text an ostream prints under std::hexfloat,
+/// written from the bits: 0x1.8p+1, 0x0p+0, subnormals as
+/// 0x0.0000000000001p-1022, inf, nan. (std::to_chars' hex format is no
+/// substitute: libstdc++ releases disagree on how it writes subnormals.)
+void append_hexfloat(std::string& out, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  if ((bits >> 63) != 0) {
+    out += '-';
+  }
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+  if (biased == 0x7ff) {
+    out += fraction == 0 ? "inf" : "nan";
+    return;
+  }
+  out += biased == 0 ? "0x0" : "0x1";
+  if (fraction != 0) {
+    out += '.';
+    int digits = 13;
+    while ((fraction & 0xf) == 0) {
+      fraction >>= 4;
+      --digits;
+    }
+    for (int i = digits - 1; i >= 0; --i) {
+      out += "0123456789abcdef"[(fraction >> (4 * i)) & 0xf];
+    }
+  }
+  out += 'p';
+  if (biased == 0) {
+    out += fraction == 0 ? "+0" : "-1022";
+    return;
+  }
+  const int exponent = biased - 1023;
+  if (exponent >= 0) {
+    out += '+';
+  }
+  append_int(out, exponent);
 }
 
 void append_qubit(std::string& out, int q) {
@@ -86,42 +126,68 @@ std::string to_qasm(const Circuit& circuit) {
 }
 
 std::string canonical_key(const Circuit& circuit) {
-  std::ostringstream os;
-  os << std::hexfloat;
+  std::string out;
+  out.reserve(32 + 24 * circuit.ops().size());
   // -0.0 == 0.0 under Circuit::operator==, so fold the sign away to keep
   // the key-equality <-> circuit-equality contract.
   const auto canonical = [](double v) { return v == 0.0 ? 0.0 : v; };
-  os << "q" << circuit.num_qubits() << ";gp"
-     << canonical(circuit.global_phase()) << ";";
+  out += 'q';
+  append_int(out, circuit.num_qubits());
+  out += ";gp";
+  append_hexfloat(out, canonical(circuit.global_phase()));
+  out += ';';
   for (const Operation& op : circuit.ops()) {
-    os << gate_name(op.kind());
+    out += gate_name(op.kind());
     if (op.num_params() > 0) {
-      os << "(";
+      out += '(';
       for (int i = 0; i < op.num_params(); ++i) {
         if (i > 0) {
-          os << ",";
+          out += ',';
         }
-        os << canonical(op.param(i));
+        append_hexfloat(out, canonical(op.param(i)));
       }
-      os << ")";
+      out += ')';
     }
     for (int i = 0; i < op.num_qubits(); ++i) {
-      os << (i > 0 ? "," : " ") << op.qubit(i);
+      out += i > 0 ? ',' : ' ';
+      append_int(out, op.qubit(i));
     }
-    os << ";";
+    out += ';';
   }
-  return os.str();
+  return out;
 }
 
 namespace {
 
-/// Minimal recursive-descent parser for parameter expressions:
+// The C locale's character classes, the only locale the library runs in.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+constexpr bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && is_space(s.front())) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && is_space(s.back())) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
+
+/// Recursive-descent parser for one parameter expression:
 ///   expr := term (('+'|'-') term)*
 ///   term := factor (('*'|'/') factor)*
 ///   factor := number | 'pi' | ('-'|'+') factor | '(' expr ')'
 /// Parentheses and unary signs nest at most kMaxDepth levels deep, so
 /// hostile input cannot exhaust the stack, and every intermediate value
 /// must be finite: a gate angle of NaN or infinity has no meaning.
+/// Numbers are decimal reals read by std::from_chars in place, so the
+/// parse is linear in the length of the expression.
 class ExprParser {
  public:
   explicit ExprParser(std::string_view text) : text_(text) {}
@@ -211,43 +277,49 @@ class ExprParser {
       ++pos_;
       return v;
     }
-    if (std::isalpha(static_cast<unsigned char>(peek())) != 0) {
-      std::string word;
-      while (pos_ < text_.size() &&
-             std::isalpha(static_cast<unsigned char>(text_[pos_])) != 0) {
-        word += text_[pos_++];
+    if (is_alpha(peek())) {
+      const std::size_t begin = pos_;
+      while (pos_ < text_.size() && is_alpha(text_[pos_])) {
+        ++pos_;
       }
+      const std::string_view word = text_.substr(begin, pos_ - begin);
       if (word == "pi") {
         return la::kPi;
       }
-      throw std::runtime_error("unknown identifier '" + word + "'");
+      throw std::runtime_error("unknown identifier '" + std::string(word) +
+                               "'");
     }
-    // std::stod accepts plain, decimal and scientific notation (1e-3,
-    // 2.5E+2); it throws std::invalid_argument on garbage, which we map to
-    // a parse error naming the offending text instead of an uncaught
-    // "stod" exception.
-    std::size_t consumed = 0;
+    return number();
+  }
+
+  /// A decimal real: digits with an optional fraction and exponent (1,
+  /// 1., .5, 2.5E+2). Subnormal values parse; values that overflow or
+  /// round to zero are out of range, and C hex floats are not OpenQASM 2.
+  double number() {
+    const std::string_view rest = text_.substr(pos_);
+    if (rest.size() >= 2 && rest[0] == '0' &&
+        (rest[1] == 'x' || rest[1] == 'X')) {
+      throw std::runtime_error("hexadecimal number in '" + std::string(rest) +
+                               "' (OpenQASM 2 reals are decimal)");
+    }
     double v = 0.0;
-    try {
-      v = std::stod(std::string(text_.substr(pos_)), &consumed);
-    } catch (const std::out_of_range&) {
-      throw std::runtime_error("number out of range: '" +
-                               std::string(text_.substr(pos_)) + "'");
-    } catch (const std::exception&) {
-      throw std::runtime_error("expected number, got '" +
-                               std::string(text_.substr(pos_)) + "'");
+    const auto [end, ec] =
+        std::from_chars(rest.data(), rest.data() + rest.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      throw std::runtime_error("number out of range: '" + std::string(rest) +
+                               "'");
     }
-    if (consumed == 0) {
-      throw std::runtime_error("expected number");
+    if (ec != std::errc()) {
+      throw std::runtime_error("expected number, got '" + std::string(rest) +
+                               "'");
     }
-    pos_ += consumed;
+    pos_ += static_cast<std::size_t>(end - rest.data());
     return v;
   }
 
   char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    while (pos_ < text_.size() && is_space(text_[pos_])) {
       ++pos_;
     }
   }
@@ -257,17 +329,132 @@ class ExprParser {
   int depth_ = 0;
 };
 
-std::string strip(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) {
-    ++b;
+/// The ','-separated items of a parameter or operand list, each trimmed;
+/// commas inside parentheses do not separate. A list has at least one
+/// item, so an empty list is one empty item.
+class ListItems {
+ public:
+  explicit ListItems(std::string_view list) : list_(list) {}
+
+  /// The next item, or false after the last.
+  bool next(std::string_view& item) {
+    if (done()) {
+      return false;
+    }
+    int depth = 0;
+    std::size_t end = pos_;
+    for (; end < list_.size(); ++end) {
+      const char c = list_[end];
+      if (c == '(') {
+        ++depth;
+      } else if (c == ')') {
+        --depth;
+      } else if (c == ',' && depth == 0) {
+        break;
+      }
+    }
+    item = trim(list_.substr(pos_, end - pos_));
+    pos_ = end + 1;
+    return true;
   }
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) {
-    --e;
+
+  [[nodiscard]] bool done() const { return pos_ > list_.size(); }
+
+ private:
+  std::string_view list_;
+  std::size_t pos_ = 0;
+};
+
+/// Cuts the source into statements in one forward pass. A statement runs
+/// to the next ';' or to the end of the text, `//` comments run to the end
+/// of their line and are dropped, and the line of a statement's first
+/// character is kept for error messages. A statement is a view into the
+/// source unless a comment sits inside it; then it is copied without the
+/// comment into a buffer that the lexer reuses.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view source) : src_(source) {}
+
+  /// The next non-empty statement, trimmed, and its line; false at the
+  /// end of the source.
+  bool next(std::string_view& statement, int& line) {
+    for (;;) {
+      skip_blanks();
+      if (pos_ == src_.size()) {
+        return false;
+      }
+      if (src_[pos_] != ';') {
+        break;
+      }
+      ++pos_;
+    }
+    line = line_;
+    const std::size_t begin = pos_;
+    bool commented = false;
+    while (pos_ < src_.size() && src_[pos_] != ';') {
+      if (comment_at(src_, pos_)) {
+        commented = true;
+        pos_ = comment_end(src_, pos_);
+        continue;
+      }
+      if (src_[pos_] == '\n') {
+        ++line_;
+      }
+      ++pos_;
+    }
+    statement = src_.substr(begin, pos_ - begin);
+    if (pos_ < src_.size()) {
+      ++pos_;  // the ';'
+    }
+    if (commented) {
+      statement = without_comments(statement);
+    }
+    statement = trim(statement);
+    return true;
   }
-  return s.substr(b, e - b);
-}
+
+ private:
+  static bool comment_at(std::string_view text, std::size_t i) {
+    return text[i] == '/' && i + 1 < text.size() && text[i + 1] == '/';
+  }
+  /// The newline that ends the comment at `i`, or the end of `text`.
+  static std::size_t comment_end(std::string_view text, std::size_t i) {
+    const std::size_t nl = text.find('\n', i);
+    return nl == std::string_view::npos ? text.size() : nl;
+  }
+
+  void skip_blanks() {
+    while (pos_ < src_.size()) {
+      if (comment_at(src_, pos_)) {
+        pos_ = comment_end(src_, pos_);
+      } else if (is_space(src_[pos_])) {
+        line_ += src_[pos_] == '\n' ? 1 : 0;
+        ++pos_;
+      } else {
+        return;
+      }
+    }
+  }
+
+  std::string_view without_comments(std::string_view text) {
+    buffer_.clear();
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      if (comment_at(text, i)) {
+        i = comment_end(text, i);
+        if (i == text.size()) {
+          break;
+        }
+      }
+      buffer_ += text[i];
+    }
+    return buffer_;
+  }
+
+  std::string_view src_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
+  std::string buffer_;
+};
 
 /// Upper bound on register sizes and qubit indices accepted by the parser
 /// (documented in qasm.hpp); rejects absurd declarations before they turn
@@ -275,237 +462,197 @@ std::string strip(const std::string& s) {
 constexpr long kMaxRegisterIndex = 1000000;
 
 /// Strictly parses a non-negative register index: digits only, bounded.
-/// std::stoi would silently accept "1abc" (-> 1) and throw uncaught
-/// std::invalid_argument / std::out_of_range on "abc" or huge values.
-int parse_register_index(const std::string& token, const char* what) {
-  const std::string t = strip(token);
+int register_index(std::string_view token, const char* what) {
+  const std::string_view t = trim(token);
   if (t.empty()) {
     throw std::runtime_error(std::string("empty ") + what);
   }
   long value = 0;
   for (const char c : t) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
-      throw std::runtime_error(std::string("bad ") + what + " '" + t +
+    if (!is_digit(c)) {
+      throw std::runtime_error(std::string("bad ") + what + " '" +
+                               std::string(t) +
                                "' (expected a non-negative integer)");
     }
     value = value * 10 + (c - '0');
     if (value > kMaxRegisterIndex) {
-      throw std::runtime_error(std::string(what) + " '" + t +
+      throw std::runtime_error(std::string(what) + " '" + std::string(t) +
                                "' out of range");
     }
   }
   return static_cast<int>(value);
 }
 
-/// Parses "q[3]" -> 3.
-int parse_qubit_ref(const std::string& token, const std::string& reg_name) {
-  const std::string t = strip(token);
-  const std::size_t lb = t.find('[');
-  const std::size_t rb = t.find(']');
-  if (lb == std::string::npos || rb == std::string::npos || rb < lb ||
-      t.substr(0, lb) != reg_name) {
-    throw std::runtime_error("bad qubit reference '" + t + "'");
+/// Recursive-descent statement parser over the lexer's statements. The
+/// parameter and qubit buffers are reused from statement to statement, so
+/// a parse allocates only the circuit it builds.
+class Parser {
+ public:
+  Circuit parse(std::string_view text) {
+    Lexer lexer(text);
+    std::string_view stmt;
+    int line = 0;
+    while (lexer.next(stmt, line)) {
+      // Every statement-level failure is rethrown with the source line and
+      // the statement text, so malformed input produces an actionable
+      // parse error.
+      try {
+        statement(stmt);
+      } catch (const std::exception& e) {
+        throw std::runtime_error("qasm: parse error at line " +
+                                 std::to_string(line) + ": " + e.what() +
+                                 " [in statement '" + std::string(stmt) +
+                                 "']");
+      }
+    }
+    return std::move(circuit_);
   }
-  return parse_register_index(t.substr(lb + 1, rb - lb - 1), "qubit index");
-}
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::string cur;
-  int depth = 0;
-  for (const char c : s) {
-    if (c == '(') {
-      ++depth;
+ private:
+  void statement(std::string_view s) {
+    if (s.starts_with("OPENQASM") || s.starts_with("include") ||
+        s.starts_with("creg")) {
+      return;
     }
-    if (c == ')') {
-      --depth;
+    if (s.starts_with("qreg")) {
+      qreg(s);
+      return;
     }
-    if (c == delim && depth == 0) {
-      out.push_back(cur);
-      cur.clear();
+    if (!have_qreg_) {
+      throw std::runtime_error("statement before qreg");
+    }
+    if (s.starts_with("barrier")) {
+      circuit_.barrier();
+      return;
+    }
+    if (s.starts_with("measure")) {
+      measure(s);
+      return;
+    }
+    gate(s);
+  }
+
+  /// qreg name[size]
+  void qreg(std::string_view s) {
+    if (have_qreg_) {
+      throw std::runtime_error(
+          "unsupported construct: a second 'qreg' (one register only)");
+    }
+    const std::size_t lb = s.find('[');
+    const std::size_t rb = s.find(']');
+    if (lb == std::string_view::npos || rb == std::string_view::npos ||
+        rb < lb) {
+      throw std::runtime_error("bad qreg statement");
+    }
+    const std::string_view name = trim(s.substr(4, lb - 4));
+    if (name.empty()) {
+      throw std::runtime_error("qreg needs a register name");
+    }
+    circuit_ = Circuit(register_index(s.substr(lb + 1, rb - lb - 1),
+                                      "qreg size"));
+    reg_ = name;
+    have_qreg_ = true;
+  }
+
+  /// measure q[i] -> c[i], or measure q -> c over the whole register.
+  void measure(std::string_view s) {
+    const std::size_t arrow = s.find("->");
+    const std::string_view source = trim(s.substr(
+        7, (arrow == std::string_view::npos ? s.size() : arrow) - 7));
+    if (source == reg_) {
+      circuit_.measure_all();  // register broadcast: q[i] -> c[i]
     } else {
-      cur += c;
+      circuit_.measure(qubit(source));
     }
   }
-  out.push_back(cur);
-  return out;
-}
 
-/// A ';'-terminated statement plus the 1-based source line it starts on
-/// (the line of its first non-whitespace character), for error context.
-struct Statement {
-  std::string text;
-  int line = 0;
+  /// name[(params)] operand[, ...] — reset included.
+  void gate(std::string_view s) {
+    std::size_t name_end = 0;
+    while (name_end < s.size() &&
+           (is_alpha(s[name_end]) || is_digit(s[name_end]))) {
+      ++name_end;
+    }
+    std::string_view name = s.substr(0, name_end);
+    if (name == "opaque") {
+      throw std::runtime_error(
+          "unsupported construct: 'opaque' gate declarations");
+    }
+    if (name == "if") {
+      throw std::runtime_error(
+          "unsupported construct: classically controlled 'if' statements");
+    }
+    std::string_view operands = s.substr(name_end);
+    params_.clear();
+    if (!operands.empty() && operands.front() == '(') {
+      const std::size_t close = s.rfind(')');
+      if (close == std::string_view::npos || close < name_end) {
+        throw std::runtime_error("unbalanced parameter list");
+      }
+      ListItems items(s.substr(name_end + 1, close - name_end - 1));
+      for (std::string_view item; items.next(item);) {
+        params_.push_back(ExprParser(item).parse());
+      }
+      operands = s.substr(close + 1);
+    }
+
+    // Aliases.
+    if (name == "u1") {
+      name = "p";
+    } else if (name == "u2") {
+      if (params_.size() != 2) {
+        throw std::runtime_error("u2 needs 2 params");
+      }
+      params_.insert(params_.begin(), la::kPi / 2.0);
+      name = "u3";
+    } else if (name == "u") {
+      name = "u3";
+    } else if (name == "cnot") {
+      name = "cx";
+    }
+
+    const auto kind = gate_from_name(name);
+    if (!kind.has_value()) {
+      throw std::runtime_error("unknown gate '" + std::string(name) + "'");
+    }
+    ListItems refs(operands);
+    std::string_view ref;
+    (void)refs.next(ref);
+    if (refs.done() && ref == reg_ && gate_info(*kind).num_qubits == 1) {
+      // Register broadcast: `h q;` / `reset q;` act on every qubit of q.
+      for (int q = 0; q < circuit_.num_qubits(); ++q) {
+        circuit_.append(*kind, std::span<const int>(&q, 1), params_);
+      }
+      return;
+    }
+    qubits_.clear();
+    do {
+      qubits_.push_back(qubit(ref));
+    } while (refs.next(ref));
+    circuit_.append(*kind, qubits_, params_);
+  }
+
+  /// reg[index] -> index.
+  int qubit(std::string_view ref) const {
+    const std::size_t lb = ref.find('[');
+    const std::size_t rb = ref.find(']');
+    if (lb == std::string_view::npos || rb == std::string_view::npos ||
+        rb < lb || ref.substr(0, lb) != reg_) {
+      throw std::runtime_error("bad qubit reference '" + std::string(ref) +
+                               "'");
+    }
+    return register_index(ref.substr(lb + 1, rb - lb - 1), "qubit index");
+  }
+
+  Circuit circuit_;
+  std::string reg_;
+  bool have_qreg_ = false;
+  std::vector<double> params_;
+  std::vector<int> qubits_;
 };
-
-/// Strips //-comments and splits the source into statements, tracking
-/// line numbers through both.
-std::vector<Statement> split_statements(const std::string& text) {
-  std::vector<Statement> out;
-  std::string cur;
-  int line = 1;
-  int stmt_line = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '/' && i + 1 < text.size() && text[i + 1] == '/') {
-      while (i < text.size() && text[i] != '\n') {
-        ++i;
-      }
-      if (i >= text.size()) {
-        break;
-      }
-    }
-    const char c = text[i];
-    if (c == '\n') {
-      ++line;
-    }
-    if (c == ';') {
-      const std::string stmt = strip(cur);
-      if (!stmt.empty()) {
-        out.push_back({stmt, stmt_line == 0 ? line : stmt_line});
-      }
-      cur.clear();
-      stmt_line = 0;
-    } else {
-      if (stmt_line == 0 && std::isspace(static_cast<unsigned char>(c)) == 0) {
-        stmt_line = line;
-      }
-      cur += c;
-    }
-  }
-  const std::string tail = strip(cur);
-  if (!tail.empty()) {
-    out.push_back({tail, stmt_line == 0 ? line : stmt_line});
-  }
-  return out;
-}
 
 }  // namespace
 
-Circuit from_qasm(const std::string& text) {
-  Circuit circuit;
-  std::string qreg_name = "q";
-  bool have_qreg = false;
-
-  for (const Statement& statement : split_statements(text)) {
-    const std::string& stmt = statement.text;
-    // Every statement-level failure is rethrown with the source line and
-    // the statement text, so malformed input produces an actionable parse
-    // error instead of an uncaught std::stoi/std::stod exception.
-    try {
-      if (stmt.rfind("OPENQASM", 0) == 0 || stmt.rfind("include", 0) == 0 ||
-          stmt.rfind("creg", 0) == 0) {
-        continue;
-      }
-      if (stmt.rfind("qreg", 0) == 0) {
-        if (have_qreg) {
-          throw std::runtime_error(
-              "unsupported construct: a second 'qreg' (one register only)");
-        }
-        const std::size_t lb = stmt.find('[');
-        const std::size_t rb = stmt.find(']');
-        if (lb == std::string::npos || rb == std::string::npos || rb < lb) {
-          throw std::runtime_error("bad qreg statement");
-        }
-        qreg_name = strip(stmt.substr(4, lb - 4));
-        if (qreg_name.empty()) {
-          throw std::runtime_error("qreg needs a register name");
-        }
-        const int n = parse_register_index(
-            stmt.substr(lb + 1, rb - lb - 1), "qreg size");
-        circuit = Circuit(n);
-        have_qreg = true;
-        continue;
-      }
-      if (!have_qreg) {
-        throw std::runtime_error("statement before qreg");
-      }
-      if (stmt.rfind("barrier", 0) == 0) {
-        circuit.barrier();
-        continue;
-      }
-      if (stmt.rfind("measure", 0) == 0) {
-        const std::size_t arrow = stmt.find("->");
-        const std::string src = strip(stmt.substr(
-            7, (arrow == std::string::npos ? stmt.size() : arrow) - 7));
-        if (src == qreg_name) {
-          circuit.measure_all();  // register broadcast: q[i] -> c[i]
-        } else {
-          circuit.measure(parse_qubit_ref(src, qreg_name));
-        }
-        continue;
-      }
-      // Gate statement (reset included): name[(params)] operand[, ...]
-      std::size_t name_end = 0;
-      while (name_end < stmt.size() &&
-             (std::isalnum(static_cast<unsigned char>(stmt[name_end])) !=
-              0)) {
-        ++name_end;
-      }
-      std::string name = stmt.substr(0, name_end);
-      if (name == "opaque") {
-        throw std::runtime_error(
-            "unsupported construct: 'opaque' gate declarations");
-      }
-      if (name == "if") {
-        throw std::runtime_error(
-            "unsupported construct: classically controlled 'if' statements");
-      }
-      std::size_t rest_begin = name_end;
-      std::vector<double> params;
-      if (rest_begin < stmt.size() && stmt[rest_begin] == '(') {
-        const std::size_t close = stmt.rfind(')');
-        if (close == std::string::npos || close < rest_begin) {
-          throw std::runtime_error("unbalanced parameter list");
-        }
-        for (const std::string& p :
-             split(stmt.substr(rest_begin + 1, close - rest_begin - 1),
-                   ',')) {
-          params.push_back(ExprParser(strip(p)).parse());
-        }
-        rest_begin = close + 1;
-      }
-      const std::vector<std::string> operands =
-          split(stmt.substr(rest_begin), ',');
-
-      // Aliases.
-      if (name == "u1") {
-        name = "p";
-      } else if (name == "u2") {
-        if (params.size() != 2) {
-          throw std::runtime_error("u2 needs 2 params");
-        }
-        params = {la::kPi / 2.0, params[0], params[1]};
-        name = "u3";
-      } else if (name == "u") {
-        name = "u3";
-      } else if (name == "cnot") {
-        name = "cx";
-      }
-
-      const auto kind = gate_from_name(name);
-      if (!kind.has_value()) {
-        throw std::runtime_error("unknown gate '" + name + "'");
-      }
-      if (operands.size() == 1 && strip(operands.front()) == qreg_name &&
-          gate_info(*kind).num_qubits == 1) {
-        // Register broadcast: `h q;` / `reset q;` act on every qubit of q.
-        for (int q = 0; q < circuit.num_qubits(); ++q) {
-          circuit.append(*kind, std::span<const int>(&q, 1), params);
-        }
-        continue;
-      }
-      std::vector<int> qubits;
-      for (const std::string& qref : operands) {
-        qubits.push_back(parse_qubit_ref(qref, qreg_name));
-      }
-      circuit.append(*kind, qubits, params);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("qasm: parse error at line " +
-                               std::to_string(statement.line) + ": " +
-                               e.what() + " [in statement '" + stmt + "']");
-    }
-  }
-  return circuit;
-}
+Circuit from_qasm(const std::string& text) { return Parser().parse(text); }
 
 }  // namespace qrc::ir

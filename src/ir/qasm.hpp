@@ -1,7 +1,11 @@
 /// \file qasm.hpp
 /// \brief OpenQASM-2-style text serialisation of circuits: dump any Circuit
 ///        and parse back the subset the library emits (plus the common
-///        u1/u2/u aliases). Used by the examples and for interchange.
+///        u1/u2/u aliases), and the canonical content key. The front end of
+///        every served request, so both directions work in one pass without
+///        iostreams: the parser is a lexer plus a recursive-descent
+///        statement parser over views of the text, with numbers read by
+///        std::from_chars in place, and time linear in the input.
 #pragma once
 
 #include <string>
@@ -18,10 +22,13 @@ namespace qrc::ir {
 /// u (-> u3), a single qreg, an optional creg, measure, barrier and reset.
 /// Single-qubit gates, reset and measure broadcast over the register when
 /// given its name (`h q;`, `reset q;`, `measure q -> c;`).
-/// Parameter expressions may use numbers (including scientific notation,
-/// e.g. 2.5e-2), "pi", unary plus/minus, + - * / and parentheses, nested
-/// at most 128 levels deep; every value an expression computes on the way
-/// must be finite (`0/0`, `1/0` and overflows are rejected).
+/// Parameter expressions may use decimal reals (1, 1., .5, 2.5e-2, 1E+2),
+/// "pi", unary plus/minus, + - * / and parentheses, nested at most 128
+/// levels deep; every value an expression computes on the way must be
+/// finite (`0/0`, `1/0` and overflows are rejected). A literal that
+/// overflows or rounds to zero is "out of range"; subnormal literals parse
+/// (to_qasm prints them, e.g. 4.94065645841247e-324), and C hex floats
+/// such as 0x1p3 are rejected, since OpenQASM 2 reals are decimal.
 /// Register sizes and qubit indices are capped at 1,000,000 (declarations
 /// beyond that are rejected rather than allocated). A second `qreg`,
 /// `opaque` declarations and classically controlled `if` statements are
@@ -31,8 +38,9 @@ namespace qrc::ir {
 [[nodiscard]] Circuit from_qasm(const std::string& text);
 
 /// Canonical content fingerprint of a circuit, suitable as an exact cache
-/// key: the to_qasm() statement grammar with bit-exact (hex-float)
-/// parameters, prefixed with the qubit count and global phase. Two
+/// key: the to_qasm() statement grammar with bit-exact (hex-float, the
+/// text of printf's `%a`) parameters, prefixed with the qubit count and
+/// global phase, written into one string without iostreams. Two
 /// circuits share a key iff they are structurally identical
 /// (Circuit::operator==); the name is excluded, so differently-labelled
 /// copies of the same circuit hit the same cache entry. The key is the

@@ -238,7 +238,7 @@ bool BasisTranslator::run(ir::Circuit& circuit, const PassContext& ctx) const {
     throw std::invalid_argument("BasisTranslator requires a target device");
   }
   const device::Platform platform = ctx.device->platform();
-  const auto& native = device::native_gates(platform);
+  const ir::GateSet native = device::native_gates(platform);
 
   bool changed = false;
   for (int round = 0; round < 16; ++round) {

@@ -74,7 +74,8 @@ SearchResult beam_search(const ir::Circuit& circuit,
   frontier[0].state.circuit = circuit;
   frontier[0].obs = core::CompilationEnv::observe_state(frontier[0].state);
   frontier[0].path =
-      paths.add(-1, -1, core::fingerprint_of(frontier[0].state));
+      paths.add(-1, -1, core::fingerprint_of(frontier[0].state,
+                                             core::MdpState::kStart));
   (void)table.lookup_or_insert(state_key(frontier[0].state), 0);
 
   const auto obs_size = static_cast<std::size_t>(frontier[0].obs.size());
@@ -147,7 +148,8 @@ SearchResult beam_search(const ir::Circuit& circuit,
         const auto& entry = frontier[static_cast<std::size_t>(c.entry)];
         c.child = core::CompilationEnv::peek_step(entry.state, c.action,
                                                   step_seed);
-        c.fp = core::fingerprint_of(c.child);
+        const core::MdpState mdp = c.child.state();
+        c.fp = core::fingerprint_of(c.child, mdp);
         c.stalled = paths.contains(entry.path, c.fp);
         if (c.stalled) {
           // The fingerprint matched a path state, but the pass may still
@@ -158,7 +160,7 @@ SearchResult beam_search(const ir::Circuit& circuit,
           c.obs = core::CompilationEnv::observe_state(c.child);
           return;
         }
-        c.terminal = c.child.state() == core::MdpState::kDone;
+        c.terminal = mdp == core::MdpState::kDone;
         if (!c.terminal) {
           c.obs = core::CompilationEnv::observe_state(c.child);
           c.key = state_key(c.child);

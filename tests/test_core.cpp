@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 
 #include "baselines/baselines.hpp"
@@ -172,6 +173,89 @@ TEST(MdpStateTest, OptimizationsLeaveAPlatformPickWithoutDevice) {
       }
       EXPECT_EQ(optimizations, 12);
     }
+  }
+}
+
+TEST(MdpStateTest, MaskMatchesEachActionAlongRandomWalks) {
+  // The mask computes state() once and hands it to all 29 rules; along
+  // seeded random walks it must agree with every one-argument valid(),
+  // and the two rules rewritten in terms of the MdpState with their
+  // original definitions.
+  using qrc::core::ActionType;
+  const auto& registry = ActionRegistry::instance();
+  std::mt19937_64 rng(22);
+  int checked = 0;
+  int routing_states = 0;
+  for (const BenchmarkFamily family : qrc::bench::all_families()) {
+    for (const char* platform :
+         {"platform_ibm", "platform_rigetti", "platform_ionq",
+          "platform_oqc"}) {
+      CompilationState state;
+      state.circuit = qrc::bench::make_benchmark(family, 5, 3);
+      const std::string where =
+          state.circuit.name() + " via " + std::string(platform);
+      apply_by_name(state, platform);
+      for (int step = 0; step < 16; ++step) {
+        const auto mask = registry.mask(state);
+        ASSERT_EQ(mask, registry.mask(state, state.state())) << where;
+        std::vector<int> valid;
+        for (int a = 0; a < registry.size(); ++a) {
+          const auto& action = registry.at(a);
+          ASSERT_EQ(mask[static_cast<std::size_t>(a)], action.valid(state))
+              << where << " step " << step << " " << action.name();
+          if (action.type() == ActionType::kSynthesis) {
+            EXPECT_EQ(action.valid(state),
+                      state.state() == MdpState::kDeviceChosen &&
+                          !state.is_native())
+                << where << " step " << step;
+          }
+          if (action.type() == ActionType::kRouting) {
+            EXPECT_EQ(action.valid(state),
+                      state.device != nullptr && state.layout_applied &&
+                          state.circuit.max_gate_arity_at_most(2) &&
+                          !state.is_mapped())
+                << where << " step " << step << " " << action.name();
+            routing_states += state.layout_applied ? 1 : 0;
+          }
+          if (mask[static_cast<std::size_t>(a)]) {
+            valid.push_back(a);
+          }
+        }
+        ++checked;
+        if (valid.empty()) {
+          break;  // Done, or a platform pick that no device can hold
+        }
+        const int pick = valid[rng() % valid.size()];
+        registry.at(pick).apply(state, rng());
+      }
+    }
+  }
+  EXPECT_GT(checked, 22 * 4 * 4);
+  EXPECT_GT(routing_states, 0);
+}
+
+TEST(MdpStateTest, PlatformAndDevicePicksKeepTheObservation) {
+  // Only passes touch the circuit, so the env and the rollout reuse the
+  // observation after a platform or device pick; it must equal a fresh
+  // one.
+  const auto& registry = ActionRegistry::instance();
+  for (const BenchmarkFamily family : qrc::bench::all_families()) {
+    const Circuit circuit = qrc::bench::make_benchmark(family, 5, 1);
+    CompilationEnv env({circuit}, CompilationEnvConfig{});
+    const auto start = env.reset_with(circuit);
+    for (const char* name : {"platform_ibm", "device_ibmq_montreal"}) {
+      ASSERT_TRUE(CompilationEnv::keeps_circuit(registry.index_of(name)));
+      const auto result = env.step(registry.index_of(name));
+      EXPECT_EQ(result.observation, start) << circuit.name() << " " << name;
+      EXPECT_EQ(result.observation, CompilationEnv::observe_state(env.state()))
+          << circuit.name() << " " << name;
+    }
+    const auto synthesized = env.step(registry.index_of("BasisTranslator"));
+    EXPECT_FALSE(
+        CompilationEnv::keeps_circuit(registry.index_of("BasisTranslator")));
+    EXPECT_EQ(synthesized.observation,
+              CompilationEnv::observe_state(env.state()))
+        << circuit.name();
   }
 }
 

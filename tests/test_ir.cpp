@@ -4,15 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "bench_suite/benchmarks.hpp"
+#include "device/library.hpp"
 #include "ir/circuit.hpp"
 #include "ir/dag.hpp"
 #include "ir/gate.hpp"
 #include "ir/qasm.hpp"
 #include "ir/sim.hpp"
 #include "la/weyl.hpp"
+#include "passes/synthesis/basis_translator.hpp"
 
 namespace {
 
@@ -817,6 +828,188 @@ TEST(QasmTest, UnsupportedConstructsAreNamedInTheError) {
   }
 }
 
+TEST(QasmTest, LongExpressionParsesInLinearTime) {
+  // Each number used to copy the rest of its expression, so a 1 MiB
+  // `rz(1+1+...)` frame (the serve default --max-frame-bytes) took the
+  // parser about ten seconds; numbers are now read in place.
+  constexpr int kTerms = 524000;
+  std::string text = "OPENQASM 2.0;\nqreg q[1];\nrz(1";
+  text.reserve(2 * kTerms + 64);
+  for (int i = 1; i < kTerms; ++i) {
+    text += "+1";
+  }
+  text += ") q[0];\n";
+  ASSERT_LT(text.size(), std::size_t{1} << 20);
+  const auto start = std::chrono::steady_clock::now();
+  const Circuit c = qrc::ir::from_qasm(text);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_EQ(c.size(), 1U);
+  EXPECT_EQ(c.ops()[0].param(0), static_cast<double>(kTerms));
+  EXPECT_LT(seconds, 2.0);
+}
+
+/// The angle of `rz(<expr>) q[0];`, or the parse error's message.
+std::string parse_angle(const std::string& expr, double* angle) {
+  try {
+    const Circuit c =
+        qrc::ir::from_qasm("qreg q[1];\nrz(" + expr + ") q[0];\n");
+    *angle = c.ops()[0].param(0);
+    return "";
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+}
+
+TEST(QasmTest, NumberLiteralsKeepTheirValuesAndErrors) {
+  const std::vector<std::pair<std::string, double>> values = {
+      {"1.", 1.0}, {".5", 0.5}, {"00012", 12.0}, {"1E2", 100.0},
+      {"1e+2", 100.0}, {"2.5e-2", 0.025}, {"1.7976931348623157e308",
+                                            1.7976931348623157e308}};
+  for (const auto& [text, want] : values) {
+    double got = 0.0;
+    EXPECT_EQ(parse_angle(text, &got), "") << text;
+    EXPECT_EQ(got, want) << text;
+  }
+  const std::vector<std::pair<std::string, std::string>> errors = {
+      {"1e999", "number out of range: '1e999'"},
+      {"1e-400", "number out of range: '1e-400'"},
+      {"1e-324", "number out of range: '1e-324'"},
+      {"2*1e999+1", "number out of range: '1e999+1'"},
+      {".", "expected number, got '.'"},
+      {"0.5bad", "trailing characters in expression: 0.5bad"},
+      {"1e", "trailing characters in expression: 1e"},
+      {"1_0", "trailing characters in expression: 1_0"},
+  };
+  for (const auto& [text, want] : errors) {
+    double unused = 0.0;
+    const std::string msg = parse_angle(text, &unused);
+    EXPECT_NE(msg.find("qasm: parse error at line 2: " + want),
+              std::string::npos)
+        << text << " -> " << msg;
+  }
+}
+
+TEST(QasmTest, SubnormalLiteralsParse) {
+  // to_qasm prints the smallest subnormal as 4.94065645841247e-324
+  // (pinned by EmitsTheWireTextExactly); its own output must read back.
+  double got = 0.0;
+  EXPECT_EQ(parse_angle("4.94065645841247e-324", &got), "");
+  EXPECT_EQ(got, std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(parse_angle("2.2250738585072009e-308", &got), "");
+  EXPECT_EQ(got, 2.2250738585072009e-308);
+  Circuit c(1);
+  c.p(5e-324, 0);
+  c.rz(-1e-310, 0);
+  EXPECT_TRUE(qrc::ir::from_qasm(qrc::ir::to_qasm(c)) == c);
+}
+
+TEST(QasmTest, HexFloatLiteralsAreRejected) {
+  // OpenQASM 2 reals are decimal; C's 0x1p3 used to read as 8.
+  for (const std::string text : {"0x1p3", "0X1P3", "-0x10", "0x.8"}) {
+    double unused = 0.0;
+    const std::string msg = parse_angle(text, &unused);
+    EXPECT_NE(msg.find("hexadecimal number"), std::string::npos)
+        << text << " -> " << msg;
+    EXPECT_NE(msg.find("OpenQASM 2 reals are decimal"), std::string::npos)
+        << msg;
+  }
+}
+
+// ------------------------------------------------- QASM golden digests ----
+
+/// FNV-1a-64 over what from_qasm built: the qubit count, then per op its
+/// kind, qubits and parameter bit patterns, then the global-phase bits.
+/// Bytes are fed in a fixed order, so the digest does not depend on the
+/// platform's byte order.
+class ParseDigest {
+ public:
+  void add(std::uint64_t bits) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((bits >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  void add(const Circuit& c) {
+    add(static_cast<std::uint64_t>(c.num_qubits()));
+    add(static_cast<std::uint64_t>(c.size()));
+    for (const Operation& op : c.ops()) {
+      add(static_cast<std::uint64_t>(op.kind()));
+      for (const int q : op.qubits()) {
+        add(static_cast<std::uint64_t>(q));
+      }
+      for (const double p : op.params()) {
+        add(std::bit_cast<std::uint64_t>(p));
+      }
+    }
+    add(std::bit_cast<std::uint64_t>(c.global_phase()));
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Hand-written inputs in the forms real exports take: comments, CRLF
+/// line ends, tabs, the u1/u2/u/cnot aliases, register broadcasts,
+/// `measure q -> c` and nested pi expressions.
+const std::vector<std::string>& hand_written_qasm() {
+  static const std::vector<std::string> kTexts = {
+      "// Generated by hand\r\nOPENQASM 2.0;\r\ninclude \"qelib1.inc\";\r\n"
+      "// two qubits\r\nqreg q[2];\r\ncreg c[2];\r\nh q[0]; // hadamard\r\n"
+      "cx q[0],q[1];\r\nmeasure q -> c;\r\n",
+      "OPENQASM 2.0;\n\tqreg\tq[3];\n\th\tq[0];\n\trz( pi / 4 )\tq[1];\n"
+      "\tcx q[0] ,\tq[2];\n  u3( 0.1 , -0.2 ,\t0.3 ) q[2] ;\n",
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nu1(0.5) q[0];\n"
+      "u2(0.1,pi) q[1];\nu(0.1,0.2,0.3) q[0];\ncnot q[1],q[0];\n"
+      "u1(-pi/8) q[1];\n",
+      "OPENQASM 2.0;\nqreg r[4];\ncreg m[4];\nh r;\nrz(0.25) r;\nx r[3];\n"
+      "barrier r;\nreset r;\nsx r;\nbarrier r[0],r[1];\nmeasure r -> m;\n",
+      "OPENQASM 2.0;\nqreg q[3];\nrz(-(pi/2)*(1+1/3)) q[0];\n"
+      "u3(pi/2, -pi/(2*2), ((pi))) q[1];\ncp(2*pi/3 - 1e-3) q[0],q[1];\n"
+      "p(+-pi) q[2];\nrzz((pi+1)/2*-(0.5-pi)) q[2],q[0];\n"
+      "rx(1.5e2/3) q[1];\nry(.5) q[0];\nrz(1.) q[1];\nrz(00012) q[2];\n"
+      "rz(2.5E+1) q[0];\nrz(1e-3) q[0];\ncrz(pi*pi/(pi+pi)) q[1],q[2];\n",
+      "OPENQASM 2.0; qreg q[5]; creg c[5]; h q[0]; cx q[0],\n   q[1];;\n"
+      "ccx q[0],q[1],q[2];\ncswap q[2],q[3],q[4];\nswap q[ 3 ],q[04];\n"
+      "sdg q[1]; tdg q[2]; id q[3]; ecr q[0],q[4]; rxx(0.1) q[1],q[2];\n"
+      "measure q[1] -> c[1];\nmeasure q[2]->c[2];\nreset q[0];\nh q[4]",
+  };
+  return kTexts;
+}
+
+TEST(QasmGoldenTest, ParsesTheCorpusToRecordedDigests) {
+  // The parsed circuits of the wire texts of the 22 families at six
+  // widths, raw and lowered to ibmq_washington's native gates (the inputs
+  // of PassGoldenTest), and of the hand-written texts above. The digests
+  // were recorded with the earlier statement-splitting parser, which pins
+  // the one-pass front end to its circuits bit for bit.
+  qrc::passes::PassContext native_ctx;
+  native_ctx.device =
+      &qrc::device::get_device(qrc::device::DeviceId::kIbmqWashington);
+  ParseDigest raw_digest;
+  ParseDigest native_digest;
+  for (const auto family : qrc::bench::all_families()) {
+    for (const int n : {2, 3, 5, 8, 13, 20}) {
+      const Circuit raw = qrc::bench::make_benchmark(family, n, 1);
+      Circuit native = raw;
+      (void)qrc::passes::BasisTranslator().run(native, native_ctx);
+      raw_digest.add(qrc::ir::from_qasm(qrc::ir::to_qasm(raw)));
+      native_digest.add(qrc::ir::from_qasm(qrc::ir::to_qasm(native)));
+    }
+  }
+  ParseDigest hand_digest;
+  for (const std::string& text : hand_written_qasm()) {
+    hand_digest.add(qrc::ir::from_qasm(text));
+  }
+  EXPECT_EQ(raw_digest.value(), 0x027c04d5017d73c7ULL)
+      << "raw digest 0x" << std::hex << raw_digest.value();
+  EXPECT_EQ(native_digest.value(), 0xccfe112a18095262ULL)
+      << "native digest 0x" << std::hex << native_digest.value();
+  EXPECT_EQ(hand_digest.value(), 0x40158cb971dbcadeULL)
+      << "hand-written digest 0x" << std::hex << hand_digest.value();
+}
+
 // ----------------------------------------- equality and canonical keys ----
 
 namespace keys {
@@ -916,6 +1109,62 @@ TEST(CircuitEqualityTest, QasmRoundTripPreservesTheKey) {
   const Circuit back = qrc::ir::from_qasm(qrc::ir::to_qasm(a));
   EXPECT_TRUE(a == back);
   EXPECT_EQ(qrc::ir::canonical_key(a), qrc::ir::canonical_key(back));
+}
+
+/// The ostringstream/std::hexfloat encoding that canonical_key replaced;
+/// the cache and transposition keys must stay byte-identical to it.
+std::string reference_canonical_key(const Circuit& circuit) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  const auto canonical = [](double v) { return v == 0.0 ? 0.0 : v; };
+  os << "q" << circuit.num_qubits() << ";gp"
+     << canonical(circuit.global_phase()) << ";";
+  for (const Operation& op : circuit.ops()) {
+    os << qrc::ir::gate_name(op.kind());
+    if (op.num_params() > 0) {
+      os << "(";
+      for (int i = 0; i < op.num_params(); ++i) {
+        if (i > 0) {
+          os << ",";
+        }
+        os << canonical(op.param(i));
+      }
+      os << ")";
+    }
+    for (int i = 0; i < op.num_qubits(); ++i) {
+      os << (i > 0 ? "," : " ") << op.qubit(i);
+    }
+    os << ";";
+  }
+  return os.str();
+}
+
+TEST(CircuitEqualityTest, CanonicalKeyMatchesTheHexfloatStreamEncoding) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> special = {
+      0.0,      -0.0,     1.0,          -1.0,      0.1,
+      DBL_MAX,  -DBL_MAX, DBL_MIN,      -DBL_MIN,  5e-324,
+      -5e-324,  2.2250738585072009e-308, inf,      -inf,
+      nan,      -nan,     kPi,          1e300,     -1e-300};
+  std::mt19937_64 rng(2026);
+  std::vector<double> values = special;
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  for (std::size_t i = 0; i + 2 < values.size(); i += 3) {
+    Circuit c(130);
+    c.rz(values[i], static_cast<int>(i % 130));
+    c.u3(values[i], values[i + 1], values[i + 2], 129);
+    c.cx(static_cast<int>(i % 128), 128);
+    c.ccx(0, 127, 129);
+    c.add_global_phase(values[i + 1]);
+    c.measure(3);
+    ASSERT_EQ(qrc::ir::canonical_key(c), reference_canonical_key(c))
+        << "values " << values[i] << " " << values[i + 1];
+  }
+  EXPECT_EQ(qrc::ir::canonical_key(Circuit(0)),
+            reference_canonical_key(Circuit(0)));
 }
 
 TEST(CircuitEqualityTest, EmptyCircuitsOfSameWidthAreEqual) {

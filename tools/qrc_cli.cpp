@@ -280,8 +280,11 @@ int cmd_info(int argc, char** argv) {
                 dev->name().c_str(),
                 device::platform_name(dev->platform()).data(),
                 dev->num_qubits(), dev->coupling().edges().size());
-    for (const auto kind : device::native_gates(dev->platform())) {
-      std::printf(" %s", ir::gate_name(kind).data());
+    const ir::GateSet native = device::native_gates(dev->platform());
+    for (int k = 0; k < ir::kNumGateKinds; ++k) {
+      if (native.contains(static_cast<ir::GateKind>(k))) {
+        std::printf(" %s", ir::gate_name(static_cast<ir::GateKind>(k)).data());
+      }
     }
     std::printf("\n");
   }
@@ -401,16 +404,8 @@ int cmd_compile(int argc, char** argv) {
     return usage();
   }
   expect_positionals(args, 1, "compile takes exactly one circuit.qasm");
-  std::ifstream model_is(*model_flag);
-  if (!model_is) {
-    std::fprintf(stderr, "cannot read model %s\n", model_flag->c_str());
-    return 1;
-  }
-  const auto predictor = core::Predictor::load(model_is);
 
-  const ir::Circuit circuit = read_qasm_file(args.positionals.front());
-  std::printf("input: %s\n", circuit.summary().c_str());
-
+  // Every flag is checked before the model or the circuit is read.
   core::CompileOptions options;
   if (args.single("verify") != nullptr) {
     options.verify.emplace();
@@ -421,11 +416,25 @@ int cmd_compile(int argc, char** argv) {
   } else if (args.single("deadline-ms") != nullptr) {
     throw std::runtime_error("--deadline-ms requires --search");
   }
+  const bool trace = args.single("trace") != nullptr;
+  const bool profile = args.single("profile") != nullptr ||
+                       args.single("profile-hz") != nullptr;
+  const int profile_hz = args.get_int("profile-hz", 97, obs::Profiler::kMinHz,
+                                      obs::Profiler::kMaxHz);
+
+  std::ifstream model_is(*model_flag);
+  if (!model_is) {
+    std::fprintf(stderr, "cannot read model %s\n", model_flag->c_str());
+    return 1;
+  }
+  const auto predictor = core::Predictor::load(model_is);
+
+  const ir::Circuit circuit = read_qasm_file(args.positionals.front());
+  std::printf("input: %s\n", circuit.summary().c_str());
 
   // --trace: make a CLI-local context ambient for the compile (every
   // obs::Stage on the compile path records its span into it), then print
   // the span tree after the result.
-  const bool trace = args.single("trace") != nullptr;
   std::optional<obs::TraceContext> trace_ctx;
   int root_span = obs::TraceContext::kNoParent;
   if (trace) {
@@ -437,10 +446,6 @@ int cmd_compile(int argc, char** argv) {
   // --profile: sample the whole compile with the in-process SIGPROF
   // profiler and dump the folded stacks to stderr afterwards (stdout
   // stays the human-readable report).
-  const bool profile = args.single("profile") != nullptr ||
-                       args.single("profile-hz") != nullptr;
-  const int profile_hz = args.get_int("profile-hz", 97, obs::Profiler::kMinHz,
-                                      obs::Profiler::kMaxHz);
   if (profile) {
     obs::Profiler::enroll_current_thread();
     if (!obs::Profiler::start(profile_hz)) {
