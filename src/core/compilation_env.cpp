@@ -107,31 +107,24 @@ std::vector<double> CompilationEnv::reset() {
 std::vector<double> CompilationEnv::reset_with(const ir::Circuit& circuit) {
   state_ = CompilationState{};
   state_.circuit = circuit;
-  mdp_ = MdpState::kStart;
   steps_in_episode_ = 0;
   ++episode_counter_;
-  obs_ = observe();
-  return obs_;
+  return observe();
 }
 
 std::vector<bool> CompilationEnv::action_mask() const {
-  return registry_.mask(state_, mdp_);
+  return registry_.mask(state_);
 }
 
 rl::StepResult CompilationEnv::step(int action) {
   // Deterministic per-step seed so stochastic passes are reproducible.
   apply_action(state_, action,
-               step_seed(config_.seed, episode_counter_, steps_in_episode_),
-               mdp_);
+               step_seed(config_.seed, episode_counter_, steps_in_episode_));
   ++steps_in_episode_;
-  mdp_ = state_.state();
 
   rl::StepResult result;
-  if (obs_.empty() || !keeps_circuit(action)) {
-    obs_ = observe();
-  }
-  result.observation = obs_;
-  if (mdp_ == MdpState::kDone) {
+  result.observation = observe();
+  if (state_.state() == MdpState::kDone) {
     result.done = true;
     result.reward =
         reward::compute_reward(config_.reward, state_.circuit, *state_.device);

@@ -100,8 +100,6 @@ class CompilationEnv final : public rl::Env {
   CompilationEnvConfig config_;
   const ActionRegistry& registry_;
   CompilationState state_;
-  MdpState mdp_ = MdpState::kStart;  ///< state_.state()
-  std::vector<double> obs_;          ///< observation of state_
   std::mt19937_64 rng_;
   int steps_in_episode_ = 0;
   std::uint64_t episode_counter_ = 0;

@@ -50,8 +50,9 @@ struct GreedyEpisode {
 /// the width, so Done is out of reach. Each episode's MdpState is computed
 /// once per step, after its action, and serves the next mask, the
 /// fingerprint and the dead-end check; a platform or device pick leaves
-/// the circuit, and so the observation, as it was. `masked_feature` >= 0 zeroes that
-/// observation column at every inference step (the ablation hook).
+/// the circuit, and so the observation, as it was. `masked_feature` >= 0
+/// zeroes that observation column at every inference step (the ablation
+/// hook).
 ///
 /// Per-step seeds follow CompilationEnv::step_seed(seed, 1, step), i.e.
 /// the first episode of a fresh env — the contract that keeps these

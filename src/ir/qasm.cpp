@@ -1,9 +1,8 @@
 #include "ir/qasm.hpp"
 
-#include <bit>
 #include <charconv>
 #include <cmath>
-#include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -28,43 +27,12 @@ void append_param(std::string& out, double v) {
   out.append(buffer, res.ptr);
 }
 
-/// glibc printf's `%a`, the text an ostream prints under std::hexfloat,
-/// written from the bits: 0x1.8p+1, 0x0p+0, subnormals as
-/// 0x0.0000000000001p-1022, inf, nan. (std::to_chars' hex format is no
-/// substitute: libstdc++ releases disagree on how it writes subnormals.)
+/// The text an ostream prints under std::hexfloat, which libstdc++ takes
+/// from printf's `%a` in the C locale.
 void append_hexfloat(std::string& out, double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  if ((bits >> 63) != 0) {
-    out += '-';
-  }
-  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
-  std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
-  if (biased == 0x7ff) {
-    out += fraction == 0 ? "inf" : "nan";
-    return;
-  }
-  out += biased == 0 ? "0x0" : "0x1";
-  if (fraction != 0) {
-    out += '.';
-    int digits = 13;
-    while ((fraction & 0xf) == 0) {
-      fraction >>= 4;
-      --digits;
-    }
-    for (int i = digits - 1; i >= 0; --i) {
-      out += "0123456789abcdef"[(fraction >> (4 * i)) & 0xf];
-    }
-  }
-  out += 'p';
-  if (biased == 0) {
-    out += fraction == 0 ? "+0" : "-1022";
-    return;
-  }
-  const int exponent = biased - 1023;
-  if (exponent >= 0) {
-    out += '+';
-  }
-  append_int(out, exponent);
+  char buffer[32];
+  const int n = std::snprintf(buffer, sizeof(buffer), "%a", v);
+  out.append(buffer, static_cast<std::size_t>(n));
 }
 
 void append_qubit(std::string& out, int q) {

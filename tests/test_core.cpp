@@ -235,9 +235,8 @@ TEST(MdpStateTest, MaskMatchesEachActionAlongRandomWalks) {
 }
 
 TEST(MdpStateTest, PlatformAndDevicePicksKeepTheObservation) {
-  // Only passes touch the circuit, so the env and the rollout reuse the
-  // observation after a platform or device pick; it must equal a fresh
-  // one.
+  // Only passes touch the circuit, so the rollout reuses the observation
+  // after a platform or device pick; the env's fresh one must equal it.
   const auto& registry = ActionRegistry::instance();
   for (const BenchmarkFamily family : qrc::bench::all_families()) {
     const Circuit circuit = qrc::bench::make_benchmark(family, 5, 1);
