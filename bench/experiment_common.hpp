@@ -7,7 +7,7 @@
 ///   QRC_TRAIN_STEPS      PPO timesteps per model (default 100000 = paper scale)
 ///   QRC_EVAL_COUNT       evaluation circuits     (default 200, as the paper)
 ///   QRC_PAPER_SCALE      =1 forces 100000 timesteps regardless of the above
-///   QRC_NUM_ENVS         parallel rollout envs   (default 1 = serial path)
+///   QRC_NUM_ENVS         rollout envs            (default 1)
 ///   QRC_ROLLOUT_WORKERS  env-stepping threads    (default: one per env)
 #pragma once
 

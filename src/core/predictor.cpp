@@ -76,30 +76,24 @@ std::vector<rl::PpoUpdateStats> Predictor::train(
   env_config.reward = config_.reward;
   env_config.max_steps = config_.env_max_steps;
   env_config.seed = config_.seed;
+  // One shared corpus, one cheap env clone per slot, each with its own
+  // deterministic RNG stream.
+  const CompilationEnv prototype(circuits, env_config);
+  // Default worker count: one per env, capped at the hardware threads —
+  // an explicit rollout_workers request is honoured as given.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int workers = config_.rollout_workers > 0
+                          ? config_.rollout_workers
+                          : std::min(config_.num_envs, hw > 0 ? hw : 1);
+  rl::VecEnv envs(
+      [&](int i) {
+        return prototype.clone_with_seed(
+            config_.seed + 7919 * static_cast<std::uint64_t>(i + 1));
+      },
+      config_.num_envs, workers);
   std::vector<rl::PpoUpdateStats> stats;
-  if (config_.num_envs > 1) {
-    // One shared corpus, one cheap env clone per slot, each with its own
-    // deterministic RNG stream.
-    const CompilationEnv prototype(circuits, env_config);
-    // Default worker count: one per env, capped at the hardware threads —
-    // an explicit rollout_workers request is honoured as given.
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    const int workers =
-        config_.rollout_workers > 0
-            ? config_.rollout_workers
-            : std::min(config_.num_envs, hw > 0 ? hw : 1);
-    rl::VecEnv envs(
-        [&](int i) {
-          return prototype.clone_with_seed(
-              config_.seed + 7919 * static_cast<std::uint64_t>(i + 1));
-        },
-        config_.num_envs, workers);
-    agent_.emplace(
-        rl::train_ppo_vec(envs, config_.ppo, &stats, progress, metrics));
-  } else {
-    CompilationEnv env(circuits, env_config);
-    agent_.emplace(rl::train_ppo(env, config_.ppo, &stats, progress, metrics));
-  }
+  agent_.emplace(
+      rl::train_ppo_vec(envs, config_.ppo, &stats, progress, metrics));
   return stats;
 }
 

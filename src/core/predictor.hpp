@@ -76,9 +76,9 @@ struct PredictorConfig {
   rl::PpoConfig ppo;        ///< ppo.total_timesteps controls training budget
   int env_max_steps = 40;
   std::uint64_t seed = 1;
-  /// Parallel rollout collection: > 1 trains on a VecEnv of this many
-  /// CompilationEnv clones (sharing one corpus). Deterministic for a
-  /// fixed (seed, num_envs) pair.
+  /// Rollout envs: training runs on a VecEnv of this many (>= 1)
+  /// CompilationEnv clones sharing one corpus, one env included.
+  /// Deterministic for a fixed (seed, num_envs) pair.
   int num_envs = 1;
   /// Worker threads stepping the vectorized envs; 0 means num_envs.
   int rollout_workers = 0;

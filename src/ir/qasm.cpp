@@ -136,6 +136,17 @@ constexpr bool is_alpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
 constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+/// A byte that can continue an identifier.
+constexpr bool is_word(char c) {
+  return is_alpha(c) || is_digit(c) || c == '_';
+}
+
+/// True if `s` opens with the keyword `word`, whole: `cregs` and `qregq`
+/// do not open with `creg` and `qreg`.
+bool starts_with_keyword(std::string_view s, std::string_view word) {
+  return s.starts_with(word) &&
+         (s.size() == word.size() || !is_word(s[word.size()]));
+}
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && is_space(s.front())) {
@@ -478,22 +489,22 @@ class Parser {
 
  private:
   void statement(std::string_view s) {
-    if (s.starts_with("OPENQASM") || s.starts_with("include") ||
-        s.starts_with("creg")) {
+    if (starts_with_keyword(s, "OPENQASM") ||
+        starts_with_keyword(s, "include") || starts_with_keyword(s, "creg")) {
       return;
     }
-    if (s.starts_with("qreg")) {
+    if (starts_with_keyword(s, "qreg")) {
       qreg(s);
       return;
     }
     if (!have_qreg_) {
       throw std::runtime_error("statement before qreg");
     }
-    if (s.starts_with("barrier")) {
+    if (starts_with_keyword(s, "barrier")) {
       circuit_.barrier();
       return;
     }
-    if (s.starts_with("measure")) {
+    if (starts_with_keyword(s, "measure")) {
       measure(s);
       return;
     }
@@ -600,12 +611,12 @@ class Parser {
     circuit_.append(*kind, qubits_, params_);
   }
 
-  /// reg[index] -> index.
+  /// reg[index] -> index; the ']' ends the operand.
   int qubit(std::string_view ref) const {
     const std::size_t lb = ref.find('[');
     const std::size_t rb = ref.find(']');
     if (lb == std::string_view::npos || rb == std::string_view::npos ||
-        rb < lb || ref.substr(0, lb) != reg_) {
+        rb + 1 != ref.size() || rb < lb || ref.substr(0, lb) != reg_) {
       throw std::runtime_error("bad qubit reference '" + std::string(ref) +
                                "'");
     }

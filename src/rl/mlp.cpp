@@ -519,6 +519,13 @@ void Mlp::collect_parameters(std::vector<double*>& params,
   }
 }
 
+Mlp Mlp::snapshot() const {
+  Mlp copy(*this);
+  copy.weights_shared_ = false;
+  copy.rebuild_transposes();
+  return copy;
+}
+
 void Mlp::save(std::ostream& os) const {
   os << "mlp " << sizes_.size() << "\n";
   for (const int s : sizes_) {

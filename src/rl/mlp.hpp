@@ -88,6 +88,12 @@ class Mlp {
   void collect_parameters(std::vector<double*>& params,
                           std::vector<double*>& grads);
 
+  /// A copy that owns its weights: no optimizer holds pointers into it,
+  /// so its transposed weights are built once here and every batched
+  /// forward reuses them. PPO takes one per update for its rollout
+  /// forwards while the live network keeps training.
+  [[nodiscard]] Mlp snapshot() const;
+
   /// Text (de)serialisation; layout validated on read.
   void save(std::ostream& os) const;
   static Mlp load(std::istream& is);

@@ -41,8 +41,7 @@ struct Transition {
 /// GAE(lambda) over one contiguous trajectory segment (one env's slice of
 /// the rollout). `value_after_last` is V(s_{T}) for the state following
 /// the segment's last transition (ignored when that transition ended an
-/// episode — the in-loop reset applies then, exactly as in the serial
-/// path).
+/// episode — the in-loop reset applies then).
 void compute_gae_segment(std::span<const Transition> segment,
                          double value_after_last, const PpoConfig& config,
                          std::span<double> advantages,
@@ -78,20 +77,19 @@ void normalize_advantages(std::vector<double>& advantages) {
   }
 }
 
-/// The clipped-surrogate optimization epochs over one rollout buffer.
-/// Identical for the serial and vectorized paths; fills the loss fields
-/// of `stats`. Each minibatch runs one batched policy forward, one batched
-/// value forward and one batched backward per network instead of
-/// per-sample passes; every per-sample quantity and every gradient
-/// accumulation keeps the scalar operation order, so the update is
-/// bitwise-identical to the per-sample loop it replaces. `pool` (optional)
+/// The clipped-surrogate optimization epochs over one rollout buffer;
+/// fills the loss fields of `stats`. Each minibatch runs one batched
+/// policy forward, one batched value forward and one batched backward per
+/// network instead of per-sample passes; every per-sample quantity and
+/// every gradient accumulation keeps the scalar operation order, so the
+/// update is bitwise-identical to the per-sample loop it replaces. `pool`
 /// spreads the batched forwards across workers.
 void run_ppo_epochs(const std::vector<Transition>& buffer,
                     const std::vector<double>& advantages,
                     const std::vector<double>& returns,
                     const PpoConfig& config, Mlp& policy, Mlp& value_net,
                     Adam& optimizer, std::mt19937_64& rng,
-                    PpoUpdateStats& stats, WorkerPool* pool = nullptr) {
+                    PpoUpdateStats& stats, WorkerPool* pool) {
   const std::size_t n = buffer.size();
   const auto obs_size = static_cast<std::size_t>(policy.input_size());
   const auto n_act = static_cast<std::size_t>(policy.output_size());
@@ -298,107 +296,6 @@ PpoAgent PpoAgent::load(std::istream& is) {
   return agent;
 }
 
-PpoAgent train_ppo(Env& env, const PpoConfig& config,
-                   std::vector<PpoUpdateStats>* stats_out,
-                   const std::function<void(const PpoUpdateStats&)>& progress,
-                   obs::MetricsRegistry* metrics) {
-  PpoAgent agent(env.observation_size(), env.num_actions(), config);
-  Mlp& policy = agent.policy();
-  Mlp& value_net = agent.value_net();
-
-  std::vector<double*> params;
-  std::vector<double*> grads;
-  policy.collect_parameters(params, grads);
-  value_net.collect_parameters(params, grads);
-  Adam optimizer(params, grads, {.lr = config.learning_rate});
-
-  std::mt19937_64 rng(config.seed * 9176 + 3);
-
-  std::vector<double> obs = env.reset();
-  std::vector<bool> mask = env.action_mask();
-  double episode_reward = 0.0;
-  int episode_length = 0;
-
-  int timesteps_done = 0;
-  int update_index = 0;
-  while (timesteps_done < config.total_timesteps) {
-    const auto update_start = std::chrono::steady_clock::now();
-    // ---- Rollout collection ----
-    std::vector<Transition> buffer;
-    buffer.reserve(static_cast<std::size_t>(config.steps_per_update));
-    double reward_sum = 0.0;
-    std::int64_t length_sum = 0;
-    int episodes = 0;
-    for (int t = 0; t < config.steps_per_update; ++t) {
-      const auto logits = policy.forward(obs);
-      const MaskedCategorical dist(logits, mask);
-      const int action = dist.sample(rng);
-
-      Transition tr;
-      tr.obs = obs;
-      tr.mask = mask;
-      tr.action = action;
-      tr.log_prob = dist.log_prob(action);
-      tr.value = value_net.forward(obs)[0];
-
-      const StepResult result = env.step(action);
-      tr.reward = result.reward;
-      episode_reward += result.reward;
-      ++episode_length;
-      tr.episode_end = result.done || result.truncated;
-      if (result.truncated && !result.done) {
-        tr.bootstrap = value_net.forward(result.observation)[0];
-      }
-      buffer.push_back(std::move(tr));
-
-      if (result.done || result.truncated) {
-        reward_sum += episode_reward;
-        length_sum += episode_length;
-        episode_reward = 0.0;
-        episode_length = 0;
-        ++episodes;
-        obs = env.reset();
-      } else {
-        obs = result.observation;
-      }
-      mask = env.action_mask();
-      ++timesteps_done;
-    }
-
-    // ---- GAE(lambda) ----
-    const std::size_t n = buffer.size();
-    std::vector<double> advantages(n, 0.0);
-    std::vector<double> returns(n, 0.0);
-    const double tail_value = buffer.back().episode_end
-                                  ? buffer.back().bootstrap
-                                  : value_net.forward(obs)[0];
-    compute_gae_segment(buffer, tail_value, config, advantages, returns);
-    normalize_advantages(advantages);
-
-    // ---- PPO epochs ----
-    PpoUpdateStats stats;
-    stats.update_index = update_index++;
-    stats.timesteps = timesteps_done;
-    stats.episodes = episodes;
-    stats.mean_episode_reward =
-        episodes > 0 ? reward_sum / static_cast<double>(episodes) : 0.0;
-    stats.mean_episode_length =
-        episodes > 0 ? static_cast<double>(length_sum) /
-                           static_cast<double>(episodes)
-                     : 0.0;
-    run_ppo_epochs(buffer, advantages, returns, config, policy, value_net,
-                   optimizer, rng, stats);
-    finish_update_stats(stats, config.steps_per_update, update_start, metrics);
-    if (stats_out != nullptr) {
-      stats_out->push_back(stats);
-    }
-    if (progress) {
-      progress(stats);
-    }
-  }
-  return agent;
-}
-
 PpoAgent train_ppo_vec(
     VecEnv& envs, const PpoConfig& config,
     std::vector<PpoUpdateStats>* stats_out,
@@ -415,9 +312,9 @@ PpoAgent train_ppo_vec(
   value_net.collect_parameters(params, grads);
   Adam optimizer(params, grads, {.lr = config.learning_rate});
 
-  // The update RNG matches the serial path; each env draws actions from
-  // its own stream so the collected experience is independent of how the
-  // envs are scheduled onto workers.
+  // Minibatch shuffles draw from the update RNG; each env draws actions
+  // from its own stream so the collected experience is independent of how
+  // the envs are scheduled onto workers.
   std::mt19937_64 update_rng(config.seed * 9176 + 3);
   std::vector<std::mt19937_64> env_rngs;
   env_rngs.reserve(static_cast<std::size_t>(num_envs));
@@ -449,6 +346,11 @@ PpoAgent train_ppo_vec(
   int update_index = 0;
   while (timesteps_done < config.total_timesteps) {
     const auto update_start = std::chrono::steady_clock::now();
+    // Rollout forwards run on snapshots taken once per update: the live
+    // networks share their weights with the optimizer, so each of their
+    // batched forwards would re-transpose them. Both agree until the epochs.
+    const Mlp rollout_policy = policy.snapshot();
+    const Mlp rollout_value = value_net.snapshot();
     // ---- Rollout collection: all envs advance in lockstep rounds ----
     for (auto& buf : env_buf) {
       buf.clear();
@@ -463,8 +365,8 @@ PpoAgent train_ppo_vec(
       // row-parallel [N x obs] pass instead of N scalar calls.
       envs.gather_observations(obs_batch);
       const auto& masks = envs.action_masks();
-      policy.forward_batch(obs_batch, num_envs, logits_batch, &pool);
-      value_net.forward_batch(obs_batch, num_envs, values_batch, &pool);
+      rollout_policy.forward_batch(obs_batch, num_envs, logits_batch, &pool);
+      rollout_value.forward_batch(obs_batch, num_envs, values_batch, &pool);
       const BatchedMaskedCategorical dist(logits_batch, masks);
       // Sampling consumes each env's own RNG stream in fixed env order, so
       // the collected experience is identical to per-env scalar inference.
@@ -500,8 +402,8 @@ PpoAgent train_ppo_vec(
           std::copy(term_obs.begin(), term_obs.end(),
                     boot_obs.begin() + i * obs_size);
         }
-        value_net.forward_batch(boot_obs, static_cast<int>(boot_envs.size()),
-                                boot_values, &pool);
+        rollout_value.forward_batch(
+            boot_obs, static_cast<int>(boot_envs.size()), boot_values, &pool);
         for (std::size_t i = 0; i < boot_envs.size(); ++i) {
           env_buf[static_cast<std::size_t>(boot_envs[i])].back().bootstrap =
               boot_values[i];
@@ -541,8 +443,8 @@ PpoAgent train_ppo_vec(
         std::copy(live_obs.begin(), live_obs.end(),
                   boot_obs.begin() + i * obs_size);
       }
-      value_net.forward_batch(boot_obs, static_cast<int>(boot_envs.size()),
-                              boot_values, &pool);
+      rollout_value.forward_batch(
+          boot_obs, static_cast<int>(boot_envs.size()), boot_values, &pool);
       for (std::size_t i = 0; i < boot_envs.size(); ++i) {
         tail_values[static_cast<std::size_t>(boot_envs[i])] = boot_values[i];
       }
@@ -567,7 +469,7 @@ PpoAgent train_ppo_vec(
     }
     normalize_advantages(advantages);
 
-    // ---- PPO epochs (identical to the serial path) ----
+    // ---- PPO epochs, on the live networks ----
     PpoUpdateStats stats;
     stats.update_index = update_index++;
     stats.timesteps = timesteps_done;

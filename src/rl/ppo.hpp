@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "rl/adam.hpp"
-#include "rl/env.hpp"
 #include "rl/mlp.hpp"
 
 namespace qrc::obs {
@@ -92,30 +91,20 @@ class PpoAgent {
   Mlp value_;
 };
 
-/// Runs PPO on `env` and returns the trained agent plus per-update stats.
-/// `progress` (optional) is invoked after every update. `metrics`
-/// (optional) receives the qrc_train_* families after every update;
-/// instrumentation observes values the update already computed, so results
-/// are bitwise-identical with or without it.
-PpoAgent train_ppo(
-    Env& env, const PpoConfig& config,
-    std::vector<PpoUpdateStats>* stats_out = nullptr,
-    const std::function<void(const PpoUpdateStats&)>& progress = {},
-    obs::MetricsRegistry* metrics = nullptr);
-
 class VecEnv;
 
-/// Vectorized PPO: fills the `steps_per_update` horizon from all of
-/// `envs`' environments concurrently (the horizon is rounded down to a
-/// multiple of num_envs, minimum one round per env). Each lockstep round
-/// gathers all N observations and issues ONE batched policy forward and
-/// ONE batched value forward (row-parallel on the VecEnv's worker pool)
-/// instead of N scalar ones; actions are drawn from a batched masked
-/// categorical with per-env RNG streams, and env stepping runs on the same
-/// pool. The PPO epochs likewise use batched forward/backward passes per
-/// minibatch. All batched math is bitwise-identical to the per-sample
-/// path, so the result is bitwise-deterministic for a fixed
+/// Runs PPO on `envs` and returns the trained agent plus per-update stats.
+/// It is the one trainer: a one-env run uses a one-env VecEnv. Each
+/// update fills the `steps_per_update` horizon (rounded down to a multiple
+/// of num_envs, minimum one round per env) in lockstep rounds: ONE batched
+/// policy forward and ONE batched value forward over all N observations,
+/// on a per-update snapshot of the networks, then sampling from per-env
+/// RNG streams and env stepping on the VecEnv's pool. The epochs batch
+/// each minibatch likewise. All batched math is bitwise-identical to the
+/// per-sample path, so the result is bitwise-deterministic for a fixed
 /// (config.seed, envs.num_envs()) pair, independent of the worker count.
+/// `progress` (optional) runs after every update; `metrics` (optional)
+/// receives the qrc_train_* families, observed without changing results.
 PpoAgent train_ppo_vec(
     VecEnv& envs, const PpoConfig& config,
     std::vector<PpoUpdateStats>* stats_out = nullptr,

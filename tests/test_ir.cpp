@@ -917,6 +917,52 @@ TEST(QasmTest, HexFloatLiteralsAreRejected) {
   }
 }
 
+/// The error from_qasm raises on `text`, or "" when it parses.
+std::string qasm_error(const std::string& text) {
+  try {
+    (void)qrc::ir::from_qasm(text);
+    return "";
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+}
+
+TEST(QasmTest, TextAfterAnOperandIsAnError) {
+  // Text after an operand's ']' used to be dropped: `h q[0] q[1];` applied
+  // h to q[0] alone, and `cx q[0](,)x,q[1];` read as `cx q[0],q[1]`.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"qreg q[2];\nh q[0] q[1];\n", "bad qubit reference 'q[0] q[1]'"},
+      {"qreg q[2];\ncx q[0](,)x,q[1];\n", "bad qubit reference 'q[0](,)x'"},
+  };
+  for (const auto& [text, want] : cases) {
+    const std::string msg = qasm_error(text);
+    EXPECT_NE(msg.find("qasm: parse error at line 2"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(want), std::string::npos) << msg;
+  }
+  // Blanks around an operand are not text after it.
+  EXPECT_EQ(qrc::ir::from_qasm("qreg q[2];\ncx  q[0] , q[1] ;\n").size(), 1U);
+}
+
+TEST(QasmTest, KeywordsEndAtAWordBoundary) {
+  // Keywords used to match as prefixes: `cregs garbage!;` was skipped
+  // unread, and `qregq[2];` declared the register q.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"qreg q[1];\ncregs garbage!;\n", "unknown gate 'cregs'"},
+      {"qregq[2];\nh q[0];\n", "statement before qreg"},
+  };
+  for (const auto& [text, want] : cases) {
+    const std::string msg = qasm_error(text);
+    EXPECT_NE(msg.find(want), std::string::npos) << msg;
+  }
+  // Any byte that cannot continue an identifier ends a keyword.
+  const Circuit c = qrc::ir::from_qasm(
+      "OPENQASM 2.0;\ninclude\"qelib1.inc\";\nqreg\tq[2];\ncreg c[2];\n"
+      "h q[0];\nbarrier q;\nmeasure q[0]->c[0];\n");
+  ASSERT_EQ(c.num_qubits(), 2);
+  EXPECT_EQ(c.size(), 3U);
+}
+
 // ------------------------------------------------- QASM golden digests ----
 
 /// FNV-1a-64 over what from_qasm built: the qubit count, then per op its

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <random>
 #include <span>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
 #include "rl/thread_pool.hpp"
+#include "rl/vec_env.hpp"
 
 namespace {
 
@@ -23,8 +25,11 @@ using qrc::rl::BatchedMaskedCategorical;
 using qrc::rl::Env;
 using qrc::rl::MaskedCategorical;
 using qrc::rl::Mlp;
+using qrc::rl::PpoAgent;
 using qrc::rl::PpoConfig;
+using qrc::rl::PpoUpdateStats;
 using qrc::rl::StepResult;
+using qrc::rl::VecEnv;
 using qrc::rl::WorkerPool;
 
 // ------------------------------------------------------------------ MLP ---
@@ -470,6 +475,15 @@ class EndlessRewardEnv final : public Env {
   int steps_ = 0;
 };
 
+/// Trains PPO on one `EnvT(args...)`, through a one-env VecEnv as every
+/// training run goes.
+template <typename EnvT, typename... Args>
+PpoAgent train_one(const PpoConfig& config,
+                   std::vector<PpoUpdateStats>* stats, Args... args) {
+  VecEnv envs([&](int) { return std::make_unique<EnvT>(args...); }, 1);
+  return qrc::rl::train_ppo_vec(envs, config, stats);
+}
+
 TEST(PpoTest, TruncationBootstrapsValueEstimate) {
   // Identical MDPs except for how the 2-step episodes end. Treating the
   // time limit as terminal caps the value at 1 + gamma = 1.9; correct
@@ -484,10 +498,8 @@ TEST(PpoTest, TruncationBootstrapsValueEstimate) {
   config.learning_rate = 1e-2;
   config.hidden_sizes = {8};
   config.seed = 4;
-  EndlessRewardEnv truncating(true);
-  EndlessRewardEnv terminating(false);
-  const auto agent_trunc = qrc::rl::train_ppo(truncating, config);
-  const auto agent_term = qrc::rl::train_ppo(terminating, config);
+  const auto agent_trunc = train_one<EndlessRewardEnv>(config, nullptr, true);
+  const auto agent_term = train_one<EndlessRewardEnv>(config, nullptr, false);
   const std::vector<double> obs{1.0};
   EXPECT_LT(agent_term.value(obs), 3.0);
   EXPECT_GT(agent_trunc.value(obs), 4.0);
@@ -495,7 +507,6 @@ TEST(PpoTest, TruncationBootstrapsValueEstimate) {
 }
 
 TEST(PpoTest, LearnsBanditOptimalArm) {
-  BanditEnv env;
   PpoConfig config;
   config.total_timesteps = 4096;
   config.steps_per_update = 256;
@@ -504,14 +515,13 @@ TEST(PpoTest, LearnsBanditOptimalArm) {
   config.learning_rate = 3e-3;
   config.hidden_sizes = {16};
   config.seed = 5;
-  const auto agent = qrc::rl::train_ppo(env, config);
+  const auto agent = train_one<BanditEnv>(config, nullptr);
   const std::vector<double> obs{1.0, 0.0};
   const std::vector<bool> mask{true, true, true, true};
   EXPECT_EQ(agent.act_greedy(obs, mask), 2);
 }
 
 TEST(PpoTest, LearnsCorridorAndHonoursMask) {
-  CorridorEnv env;
   PpoConfig config;
   config.total_timesteps = 8192;
   config.steps_per_update = 512;
@@ -520,10 +530,11 @@ TEST(PpoTest, LearnsCorridorAndHonoursMask) {
   config.learning_rate = 3e-3;
   config.hidden_sizes = {16};
   config.seed = 9;
-  std::vector<qrc::rl::PpoUpdateStats> stats;
-  const auto agent = qrc::rl::train_ppo(env, config, &stats);
+  std::vector<PpoUpdateStats> stats;
+  const auto agent = train_one<CorridorEnv>(config, &stats);
   ASSERT_FALSE(stats.empty());
   // After training, the greedy policy should walk straight to the goal.
+  CorridorEnv env;
   auto obs = env.reset();
   int steps = 0;
   bool done = false;
@@ -544,17 +555,15 @@ TEST(PpoTest, LearnsCorridorAndHonoursMask) {
 }
 
 TEST(PpoTest, TrainingIsDeterministicGivenSeed) {
-  BanditEnv env_a;
-  BanditEnv env_b;
   PpoConfig config;
   config.total_timesteps = 1024;
   config.steps_per_update = 256;
   config.hidden_sizes = {8};
   config.seed = 33;
-  std::vector<qrc::rl::PpoUpdateStats> sa;
-  std::vector<qrc::rl::PpoUpdateStats> sb;
-  (void)qrc::rl::train_ppo(env_a, config, &sa);
-  (void)qrc::rl::train_ppo(env_b, config, &sb);
+  std::vector<PpoUpdateStats> sa;
+  std::vector<PpoUpdateStats> sb;
+  (void)train_one<BanditEnv>(config, &sa);
+  (void)train_one<BanditEnv>(config, &sb);
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) {
     EXPECT_DOUBLE_EQ(sa[i].mean_episode_reward, sb[i].mean_episode_reward);
@@ -563,16 +572,15 @@ TEST(PpoTest, TrainingIsDeterministicGivenSeed) {
 }
 
 TEST(PpoTest, AgentSaveLoadRoundTrip) {
-  BanditEnv env;
   PpoConfig config;
   config.total_timesteps = 1024;
   config.steps_per_update = 256;
   config.hidden_sizes = {8};
   config.seed = 2;
-  const auto agent = qrc::rl::train_ppo(env, config);
+  const auto agent = train_one<BanditEnv>(config, nullptr);
   std::stringstream ss;
   agent.save(ss);
-  const auto back = qrc::rl::PpoAgent::load(ss);
+  const auto back = PpoAgent::load(ss);
   const std::vector<double> obs{1.0, 0.0};
   const std::vector<bool> mask{true, true, true, true};
   EXPECT_EQ(agent.act_greedy(obs, mask), back.act_greedy(obs, mask));

@@ -6,8 +6,8 @@
 //             --out <model.txt> [--steps N] [--count N]
 //             [--min-qubits N] [--max-qubits N] [--seed N]
 //             [--num-envs N] [--workers N] [--log-jsonl <curves.jsonl>]
-//       Trains a model on the built-in benchmark corpus. --num-envs > 1
-//       collects rollouts from that many environments in parallel
+//       Trains a model on the built-in benchmark corpus. --num-envs N
+//       (default 1) collects rollouts from N environments in lockstep
 //       (deterministic for a fixed seed/num-envs pair); --workers caps the
 //       stepping threads (default: one per env). --log-jsonl streams one
 //       JSON record per PPO update (losses, entropy, approx KL, clip
