@@ -3,7 +3,7 @@
 // work.
 //
 //   - MLP dense forward: rows/sec of the scalar reference path
-//     (Mlp::forward per row, portable row-major kernel) vs the vectorized
+//     (Mlp::forward per row, portable strided kernel) vs the vectorized
 //     batched path (Mlp::forward_batch, single thread — no pool, so the
 //     delta is pure kernel).
 //   - Tableau row ops: (gate, row) updates/sec of a byte-per-cell

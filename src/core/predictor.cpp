@@ -7,8 +7,10 @@
 #include <thread>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "core/rollout.hpp"
+#include "features/features.hpp"
 #include "obs/stage.hpp"
 #include "rl/thread_pool.hpp"
 #include "rl/vec_env.hpp"
@@ -308,6 +310,22 @@ Predictor Predictor::load(std::istream& is) {
   config.reward = static_cast<reward::RewardKind>(reward_kind);
   Predictor out(config);
   out.agent_.emplace(rl::PpoAgent::load(is));
+  // The networks must fit the MDP: observations in, one logit per action
+  // (policy) or one value out.
+  const auto require_shape = [](const char* name, const rl::Mlp& net,
+                                int in, int out) {
+    if (net.input_size() != in || net.output_size() != out) {
+      throw std::runtime_error(
+          std::string("Predictor::load: ") + name + " maps " +
+          std::to_string(net.input_size()) + " -> " +
+          std::to_string(net.output_size()) + "; the MDP needs " +
+          std::to_string(in) + " -> " + std::to_string(out));
+    }
+  };
+  require_shape("policy", out.agent_->policy(), features::kNumFeatures,
+                ActionRegistry::instance().size());
+  require_shape("value net", out.agent_->value_net(), features::kNumFeatures,
+                1);
   return out;
 }
 

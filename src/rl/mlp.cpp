@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <random>
@@ -27,35 +26,23 @@ namespace {
 
 // ---- Dense row kernels ----------------------------------------------------
 //
-// All kernels compute, for one sample x, y[o] = b[o] + sum_i w[o][i] * x[i]
-// with the i-accumulation strictly sequential and one IEEE multiply + one
-// IEEE add per step (never an FMA; the library is built with
-// -ffp-contract=off so the compiler cannot fuse them either). The vector
-// kernels put adjacent *output neurons* in adjacent lanes — each lane
-// executes exactly the scalar op sequence of its neuron — so every variant
-// is bitwise-identical to the portable one. The hidden-layer tanh is the
-// same std::tanh per element everywhere.
+// All kernels compute, for one sample x, y[o] = b[o] + sum_i w[i][o] * x[i]
+// over the input-major weights, with the i-accumulation strictly sequential
+// and one IEEE multiply + one IEEE add per step (never an FMA; the library
+// is built with -ffp-contract=off so the compiler cannot fuse them either).
+// The vector kernels put adjacent *output neurons* in adjacent lanes — each
+// lane executes exactly the scalar op sequence of its neuron — so every
+// variant is bitwise-identical to the portable one. The hidden-layer tanh
+// is the same std::tanh per element everywhere.
 
-/// Reference kernel over the row-major [out x in] weights.
-void dense_row_portable(const double* w, const double* b, int in_n, int out_n,
-                        const double* x, double* y, bool hidden) {
-  for (int o = 0; o < out_n; ++o) {
-    double acc = b[o];
-    const double* wrow = w + static_cast<std::size_t>(o) *
-                                 static_cast<std::size_t>(in_n);
-    for (int i = 0; i < in_n; ++i) {
-      acc += wrow[i] * x[i];
-    }
-    y[o] = hidden ? std::tanh(acc) : acc;
-  }
-}
-
-/// Scalar tail over the transposed [in x out] weights (strided loads).
-void dense_row_tail(const double* wt, const double* b, int in_n, int out_n,
+/// Portable kernel over neurons [o_begin, out_n), one strided weight
+/// column per neuron: the vector kernels' tail, the whole portable path
+/// and the per-sample reference.
+void dense_row_tail(const double* w, const double* b, int in_n, int out_n,
                     int o_begin, const double* x, double* y) {
   for (int o = o_begin; o < out_n; ++o) {
     double acc = b[o];
-    const double* wp = wt + o;
+    const double* wp = w + o;
     for (int i = 0; i < in_n; ++i, wp += out_n) {
       acc += *wp * x[i];
     }
@@ -64,13 +51,14 @@ void dense_row_tail(const double* wt, const double* b, int in_n, int out_n,
 }
 
 #if defined(QRC_MLP_X86)
+/// Neurons in blocks of four; returns the first neuron it left to the tail.
 __attribute__((target("avx2")))
-void dense_row_avx2(const double* wt, const double* b, int in_n, int out_n,
-                    const double* x, double* y, bool hidden) {
+int dense_row_avx2(const double* w, const double* b, int in_n, int out_n,
+                   const double* x, double* y) {
   int o = 0;
   for (; o + 4 <= out_n; o += 4) {
     __m256d acc = _mm256_loadu_pd(b + o);
-    const double* wp = wt + o;
+    const double* wp = w + o;
     for (int i = 0; i < in_n; ++i, wp += out_n) {
       const __m256d prod =
           _mm256_mul_pd(_mm256_loadu_pd(wp), _mm256_set1_pd(x[i]));
@@ -78,34 +66,25 @@ void dense_row_avx2(const double* wt, const double* b, int in_n, int out_n,
     }
     _mm256_storeu_pd(y + o, acc);
   }
-  dense_row_tail(wt, b, in_n, out_n, o, x, y);
-  if (hidden) {
-    for (int j = 0; j < out_n; ++j) {
-      y[j] = std::tanh(y[j]);
-    }
-  }
+  return o;
 }
 #endif
 
 #if defined(QRC_MLP_NEON)
-void dense_row_neon(const double* wt, const double* b, int in_n, int out_n,
-                    const double* x, double* y, bool hidden) {
+/// Neurons in pairs; returns the first neuron it left to the tail.
+int dense_row_neon(const double* w, const double* b, int in_n, int out_n,
+                   const double* x, double* y) {
   int o = 0;
   for (; o + 2 <= out_n; o += 2) {
     float64x2_t acc = vld1q_f64(b + o);
-    const double* wp = wt + o;
+    const double* wp = w + o;
     for (int i = 0; i < in_n; ++i, wp += out_n) {
       const float64x2_t prod = vmulq_f64(vld1q_f64(wp), vdupq_n_f64(x[i]));
       acc = vaddq_f64(acc, prod);
     }
     vst1q_f64(y + o, acc);
   }
-  dense_row_tail(wt, b, in_n, out_n, o, x, y);
-  if (hidden) {
-    for (int j = 0; j < out_n; ++j) {
-      y[j] = std::tanh(y[j]);
-    }
-  }
+  return o;
 }
 #endif
 
@@ -152,26 +131,93 @@ SimdIsa active_isa() {
   return isa;
 }
 
-/// Builds the per-layer [in x out] transposes used by the vector kernels.
-template <typename LayerT>
-void transpose_weights(const std::vector<LayerT>& layers,
-                       std::vector<std::vector<double>>& wt) {
-  wt.resize(layers.size());
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    const auto& layer = layers[li];
-    auto& t = wt[li];
-    t.resize(layer.w.size());
-    for (int o = 0; o < layer.out; ++o) {
-      const double* wrow = layer.w.data() + static_cast<std::size_t>(o) *
-                                                static_cast<std::size_t>(
-                                                    layer.in);
-      for (int i = 0; i < layer.in; ++i) {
-        t[static_cast<std::size_t>(i) * static_cast<std::size_t>(layer.out) +
-          static_cast<std::size_t>(o)] = wrow[i];
-      }
+/// One sample through one layer on kernel `isa`, tanh'd on hidden layers.
+void dense_row(SimdIsa isa, const double* w, const double* b, int in_n,
+               int out_n, const double* x, double* y, bool hidden) {
+  int o = 0;
+#if defined(QRC_MLP_X86)
+  if (isa == SimdIsa::kAvx2) {
+    o = dense_row_avx2(w, b, in_n, out_n, x, y);
+  }
+#endif
+#if defined(QRC_MLP_NEON)
+  if (isa == SimdIsa::kNeon) {
+    o = dense_row_neon(w, b, in_n, out_n, x, y);
+  }
+#endif
+  dense_row_tail(w, b, in_n, out_n, o, x, y);
+  if (hidden) {
+    for (int j = 0; j < out_n; ++j) {
+      y[j] = std::tanh(y[j]);
     }
   }
 }
+
+/// Calls fn(k) for every weight index k = i * out + o of `layer`, neuron
+/// by neuron (o outer, i inner): the order of initialisation, of the
+/// optimizer's flat parameter list and of the model file.
+template <typename LayerT, typename Fn>
+void for_each_weight_by_neuron(const LayerT& layer, Fn fn) {
+  const auto in_n = static_cast<std::size_t>(layer.in);
+  const auto out_n = static_cast<std::size_t>(layer.out);
+  for (std::size_t o = 0; o < out_n; ++o) {
+    for (std::size_t i = 0; i < in_n; ++i) {
+      fn(i * out_n + o);
+    }
+  }
+}
+
+/// Backpropagates row `r` of the cached levels (see Mlp::forward_rows)
+/// through every layer, adding the row's parameter gradients: `grad` holds
+/// dL/d(output) on entry, `grad_in` is scratch. Always inlined, so that its
+/// loops vectorize for the ISA of each caller; every element sees the same
+/// mul-then-add sequence on each.
+template <typename LayerT>
+[[gnu::always_inline]] inline void backward_row(
+    std::vector<LayerT>& layers, const double* const* levels, std::size_t r,
+    std::vector<double>& grad, std::vector<double>& grad_in) {
+  for (std::size_t li = layers.size(); li-- > 0;) {
+    LayerT& layer = layers[li];
+    const auto in_n = static_cast<std::size_t>(layer.in);
+    const auto out_n = static_cast<std::size_t>(layer.out);
+    const double* x = levels[li] + r * in_n;
+    const double* a = levels[li + 1] + r * out_n;
+    // grad becomes dL/dz; for hidden layers the cached activation is
+    // tanh(z), and d tanh = 1 - a^2.
+    const bool is_output = li + 1 == layers.size();
+    for (std::size_t o = 0; o < out_n; ++o) {
+      grad[o] *= is_output ? 1.0 : (1.0 - a[o] * a[o]);
+    }
+    // Each input's gradient sums over the neurons in ascending order.
+    grad_in.resize(in_n);
+    for (std::size_t i = 0; i < in_n; ++i) {
+      const double* wrow = layer.w.data() + i * out_n;
+      double* grow = layer.gw.data() + i * out_n;
+      double acc = 0.0;
+      for (std::size_t o = 0; o < out_n; ++o) {
+        grow[o] += grad[o] * x[i];
+        acc += grad[o] * wrow[o];
+      }
+      grad_in[i] = acc;
+    }
+    for (std::size_t o = 0; o < out_n; ++o) {
+      layer.gb[o] += grad[o];
+    }
+    std::swap(grad, grad_in);
+  }
+}
+
+#if defined(QRC_MLP_X86)
+template <typename LayerT>
+__attribute__((target("avx2"))) void backward_row_avx2(
+    std::vector<LayerT>& layers, const double* const* levels, std::size_t r,
+    std::vector<double>& grad, std::vector<double>& grad_in) {
+  backward_row(layers, levels, r, grad, grad_in);
+}
+#endif
+
+/// Largest network Mlp::load accepts; a {7, 64, 64, 29} policy has 6,557.
+constexpr std::size_t kMaxParameters = std::size_t{1} << 22;
 
 }  // namespace
 
@@ -198,42 +244,16 @@ Mlp::Mlp(std::vector<int> sizes, std::uint64_t seed)
     layer.in = sizes_[i];
     layer.out = sizes_[i + 1];
     const double scale = std::sqrt(2.0 / static_cast<double>(layer.in));
-    layer.w.resize(static_cast<std::size_t>(layer.in * layer.out));
-    for (double& v : layer.w) {
-      v = gauss(rng) * scale;
-    }
+    layer.w.resize(static_cast<std::size_t>(layer.in) *
+                   static_cast<std::size_t>(layer.out));
+    for_each_weight_by_neuron(
+        layer, [&](std::size_t k) { layer.w[k] = gauss(rng) * scale; });
     layer.b.assign(static_cast<std::size_t>(layer.out), 0.0);
     layer.gw.assign(layer.w.size(), 0.0);
     layer.gb.assign(layer.b.size(), 0.0);
     layers_.push_back(std::move(layer));
   }
   acts_.resize(layers_.size() + 1);
-  rebuild_transposes();
-}
-
-void Mlp::rebuild_transposes() { transpose_weights(layers_, wt_); }
-
-const double* const* Mlp::vector_weights(
-    std::vector<const double*>& ptrs) const {
-  if (active_isa() == SimdIsa::kPortable) {
-    return nullptr;
-  }
-  ptrs.resize(layers_.size());
-  if (!weights_shared_) {
-    for (std::size_t li = 0; li < layers_.size(); ++li) {
-      ptrs[li] = wt_[li].data();
-    }
-    return ptrs.data();
-  }
-  // Training mode: the optimizer owns raw weight pointers, so re-transpose
-  // on every batched forward. Thread-local scratch keeps concurrent const
-  // calls on a shared instance race-free.
-  thread_local std::vector<std::vector<double>> scratch;
-  transpose_weights(layers_, scratch);
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    ptrs[li] = scratch[li].data();
-  }
-  return ptrs.data();
 }
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
@@ -244,9 +264,9 @@ std::vector<double> Mlp::forward(std::span<const double> input) const {
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& layer = layers_[li];
     std::vector<double> next(static_cast<std::size_t>(layer.out));
-    dense_row_portable(layer.w.data(), layer.b.data(), layer.in, layer.out,
-                       cur.data(), next.data(),
-                       /*hidden=*/li + 1 < layers_.size());
+    dense_row(SimdIsa::kPortable, layer.w.data(), layer.b.data(), layer.in,
+              layer.out, cur.data(), next.data(),
+              /*hidden=*/li + 1 < layers_.size());
     cur = std::move(next);
   }
   return cur;
@@ -261,42 +281,28 @@ std::vector<double> Mlp::forward_cached(std::span<const double> input) {
     const Layer& layer = layers_[li];
     auto& out = acts_[li + 1];
     out.assign(static_cast<std::size_t>(layer.out), 0.0);
-    dense_row_portable(layer.w.data(), layer.b.data(), layer.in, layer.out,
-                       acts_[li].data(), out.data(),
-                       /*hidden=*/li + 1 < layers_.size());
+    dense_row(SimdIsa::kPortable, layer.w.data(), layer.b.data(), layer.in,
+              layer.out, acts_[li].data(), out.data(),
+              /*hidden=*/li + 1 < layers_.size());
   }
   return acts_.back();
 }
 
-void Mlp::forward_rows(double* const* levels, const double* const* wt,
-                       int row_begin, int row_end) const {
+void Mlp::forward_rows(double* const* levels, int row_begin,
+                       int row_end) const {
+  const SimdIsa isa = active_isa();
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& layer = layers_[li];
     const double* in = levels[li];
     double* out = levels[li + 1];
     const bool hidden = li + 1 < layers_.size();
     for (int r = row_begin; r < row_end; ++r) {
-      const double* x = in + static_cast<std::size_t>(r) *
-                                 static_cast<std::size_t>(layer.in);
-      double* y = out + static_cast<std::size_t>(r) *
-                            static_cast<std::size_t>(layer.out);
-      if (wt == nullptr) {
-        dense_row_portable(layer.w.data(), layer.b.data(), layer.in,
-                           layer.out, x, y, hidden);
-#if defined(QRC_MLP_X86)
-      } else if (active_isa() == SimdIsa::kAvx2) {
-        dense_row_avx2(wt[li], layer.b.data(), layer.in, layer.out, x, y,
-                       hidden);
-#endif
-#if defined(QRC_MLP_NEON)
-      } else if (active_isa() == SimdIsa::kNeon) {
-        dense_row_neon(wt[li], layer.b.data(), layer.in, layer.out, x, y,
-                       hidden);
-#endif
-      } else {
-        dense_row_portable(layer.w.data(), layer.b.data(), layer.in,
-                           layer.out, x, y, hidden);
-      }
+      dense_row(isa, layer.w.data(), layer.b.data(), layer.in, layer.out,
+                in + static_cast<std::size_t>(r) *
+                         static_cast<std::size_t>(layer.in),
+                out + static_cast<std::size_t>(r) *
+                          static_cast<std::size_t>(layer.out),
+                hidden);
     }
   }
 }
@@ -309,17 +315,17 @@ constexpr int kRowBlock = 8;
 
 }  // namespace
 
-void Mlp::run_batch(double* const* levels, const double* const* wt, int batch,
+void Mlp::run_batch(double* const* levels, int batch,
                     WorkerPool* pool) const {
   if (pool != nullptr && pool->size() > 1 && batch > 1) {
     const int blocks = (batch + kRowBlock - 1) / kRowBlock;
     pool->parallel_for(blocks, [&](int blk) {
       const int begin = blk * kRowBlock;
       const int end = std::min(batch, begin + kRowBlock);
-      forward_rows(levels, wt, begin, end);
+      forward_rows(levels, begin, end);
     });
   } else {
-    forward_rows(levels, wt, 0, batch);
+    forward_rows(levels, 0, batch);
   }
 }
 
@@ -344,7 +350,6 @@ void Mlp::forward_batch(std::span<const double> inputs, int batch,
   // caller's output buffer.
   thread_local std::vector<double> arena;
   thread_local std::vector<double*> levels;
-  thread_local std::vector<const double*> wt_ptrs;
   levels.assign(levels_n, nullptr);
   std::size_t total = 0;
   for (std::size_t k = 1; k + 1 < levels_n; ++k) {
@@ -364,7 +369,7 @@ void Mlp::forward_batch(std::span<const double> inputs, int batch,
            static_cast<std::size_t>(sizes_[k]);
   }
   levels[levels_n - 1] = outputs.data();
-  run_batch(levels.data(), vector_weights(wt_ptrs), batch, pool);
+  run_batch(levels.data(), batch, pool);
 }
 
 const std::vector<double>& Mlp::forward_batch_cached(
@@ -396,13 +401,12 @@ const std::vector<double>& Mlp::forward_batch_cached(
             batch_arena_.begin() +
                 static_cast<std::ptrdiff_t>(batch_off_[0]));
   thread_local std::vector<double*> levels;
-  thread_local std::vector<const double*> wt_ptrs;
   levels.assign(num_layers + 1, nullptr);
   for (std::size_t k = 0; k < num_layers; ++k) {
     levels[k] = batch_arena_.data() + batch_off_[k];
   }
   levels[num_layers] = batch_out_.data();
-  run_batch(levels.data(), vector_weights(wt_ptrs), batch, pool);
+  run_batch(levels.data(), batch, pool);
   return batch_out_;
 }
 
@@ -412,86 +416,40 @@ void Mlp::backward_batch(std::span<const double> grad_outputs, int batch) {
                                  static_cast<std::size_t>(output_size())) {
     throw std::invalid_argument("Mlp::backward_batch: gradient size mismatch");
   }
-  // Row r of the batch replays the scalar backward() on row r's cached
-  // activations. Rows run in ascending order so each gradient accumulator
-  // receives its per-sample contributions in the same sequence as `batch`
-  // scalar backward() calls — bitwise-identical accumulation.
-  const auto num_layers = static_cast<int>(layers_.size());
-  const auto cached_level = [&](int k) -> const double* {
-    return k == num_layers ? batch_out_.data()
-                           : batch_arena_.data() + batch_off_[
-                                 static_cast<std::size_t>(k)];
-  };
-  std::vector<double> grad;
-  std::vector<double> grad_in;
-  std::vector<double> dz;
-  for (int r = 0; r < batch; ++r) {
-    const double* g0 = grad_outputs.data() +
-                       static_cast<std::size_t>(r) *
-                           static_cast<std::size_t>(output_size());
-    grad.assign(g0, g0 + output_size());
-    for (int li = num_layers - 1; li >= 0; --li) {
-      Layer& layer = layers_[static_cast<std::size_t>(li)];
-      const double* in =
-          cached_level(li) +
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(layer.in);
-      const double* out =
-          cached_level(li + 1) +
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(layer.out);
-      const bool is_output = li == num_layers - 1;
-      dz.resize(static_cast<std::size_t>(layer.out));
-      for (int o = 0; o < layer.out; ++o) {
-        const double a = out[o];
-        dz[static_cast<std::size_t>(o)] =
-            grad[static_cast<std::size_t>(o)] *
-            (is_output ? 1.0 : (1.0 - a * a));
-      }
-      grad_in.assign(static_cast<std::size_t>(layer.in), 0.0);
-      for (int o = 0; o < layer.out; ++o) {
-        const double d = dz[static_cast<std::size_t>(o)];
-        double* grow = &layer.gw[static_cast<std::size_t>(o * layer.in)];
-        const double* wrow = &layer.w[static_cast<std::size_t>(o * layer.in)];
-        for (int i = 0; i < layer.in; ++i) {
-          grow[i] += d * in[i];
-          grad_in[static_cast<std::size_t>(i)] += d * wrow[i];
-        }
-        layer.gb[static_cast<std::size_t>(o)] += d;
-      }
-      std::swap(grad, grad_in);
-    }
+  const std::size_t num_layers = layers_.size();
+  std::vector<const double*> levels(num_layers + 1);
+  for (std::size_t k = 0; k < num_layers; ++k) {
+    levels[k] = batch_arena_.data() + batch_off_[k];
   }
+  levels[num_layers] = batch_out_.data();
+  backward_rows(levels.data(), batch, grad_outputs.data());
 }
 
 void Mlp::backward(std::span<const double> grad_output) {
   if (static_cast<int>(grad_output.size()) != output_size()) {
     throw std::invalid_argument("Mlp::backward: gradient size mismatch");
   }
-  std::vector<double> grad(grad_output.begin(), grad_output.end());
-  for (int li = static_cast<int>(layers_.size()) - 1; li >= 0; --li) {
-    Layer& layer = layers_[static_cast<std::size_t>(li)];
-    const auto& in = acts_[static_cast<std::size_t>(li)];
-    const auto& out = acts_[static_cast<std::size_t>(li) + 1];
-    // For hidden layers the stored activation is tanh(z); d tanh = 1 - a^2.
-    std::vector<double> dz(static_cast<std::size_t>(layer.out));
-    const bool is_output = li == static_cast<int>(layers_.size()) - 1;
-    for (int o = 0; o < layer.out; ++o) {
-      const double a = out[static_cast<std::size_t>(o)];
-      dz[static_cast<std::size_t>(o)] =
-          grad[static_cast<std::size_t>(o)] *
-          (is_output ? 1.0 : (1.0 - a * a));
+  std::vector<const double*> levels;
+  for (const auto& act : acts_) {
+    levels.push_back(act.data());
+  }
+  backward_rows(levels.data(), 1, grad_output.data());
+}
+
+void Mlp::backward_rows(const double* const* levels, int rows,
+                        const double* grad_out) {
+  const auto out_n = static_cast<std::size_t>(output_size());
+  std::vector<double> grad;
+  std::vector<double> grad_in;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    grad.assign(grad_out + r * out_n, grad_out + (r + 1) * out_n);
+#if defined(QRC_MLP_X86)
+    if (active_isa() == SimdIsa::kAvx2) {
+      backward_row_avx2(layers_, levels, r, grad, grad_in);
+      continue;
     }
-    std::vector<double> grad_in(static_cast<std::size_t>(layer.in), 0.0);
-    for (int o = 0; o < layer.out; ++o) {
-      const double d = dz[static_cast<std::size_t>(o)];
-      double* grow = &layer.gw[static_cast<std::size_t>(o * layer.in)];
-      const double* wrow = &layer.w[static_cast<std::size_t>(o * layer.in)];
-      for (int i = 0; i < layer.in; ++i) {
-        grow[i] += d * in[static_cast<std::size_t>(i)];
-        grad_in[static_cast<std::size_t>(i)] += d * wrow[i];
-      }
-      layer.gb[static_cast<std::size_t>(o)] += d;
-    }
-    grad = std::move(grad_in);
+#endif
+    backward_row(layers_, levels, r, grad, grad_in);
   }
 }
 
@@ -504,26 +462,16 @@ void Mlp::zero_grad() {
 
 void Mlp::collect_parameters(std::vector<double*>& params,
                              std::vector<double*>& grads) {
-  // From here on the optimizer may rewrite weights through these pointers
-  // at any time; vector_weights() switches to per-call re-transposition.
-  weights_shared_ = true;
   for (Layer& layer : layers_) {
-    for (std::size_t i = 0; i < layer.w.size(); ++i) {
-      params.push_back(&layer.w[i]);
-      grads.push_back(&layer.gw[i]);
-    }
+    for_each_weight_by_neuron(layer, [&](std::size_t k) {
+      params.push_back(&layer.w[k]);
+      grads.push_back(&layer.gw[k]);
+    });
     for (std::size_t i = 0; i < layer.b.size(); ++i) {
       params.push_back(&layer.b[i]);
       grads.push_back(&layer.gb[i]);
     }
   }
-}
-
-Mlp Mlp::snapshot() const {
-  Mlp copy(*this);
-  copy.weights_shared_ = false;
-  copy.rebuild_transposes();
-  return copy;
 }
 
 void Mlp::save(std::ostream& os) const {
@@ -534,9 +482,8 @@ void Mlp::save(std::ostream& os) const {
   os << "\n";
   os.precision(17);
   for (const Layer& layer : layers_) {
-    for (const double v : layer.w) {
-      os << v << " ";
-    }
+    for_each_weight_by_neuron(
+        layer, [&](std::size_t k) { os << layer.w[k] << " "; });
     for (const double v : layer.b) {
       os << v << " ";
     }
@@ -558,11 +505,19 @@ Mlp Mlp::load(std::istream& is) {
       throw std::runtime_error("Mlp::load: bad layer size");
     }
   }
+  std::size_t parameters = 0;
+  for (std::size_t k = 0; k + 1 < n_sizes; ++k) {
+    parameters += (static_cast<std::size_t>(sizes[k]) + 1) *
+                  static_cast<std::size_t>(sizes[k + 1]);
+  }
+  if (parameters > kMaxParameters) {
+    throw std::runtime_error("Mlp::load: " + std::to_string(parameters) +
+                             " parameters; at most " +
+                             std::to_string(kMaxParameters));
+  }
   Mlp out(sizes, 0);
   for (Layer& layer : out.layers_) {
-    for (double& v : layer.w) {
-      is >> v;
-    }
+    for_each_weight_by_neuron(layer, [&](std::size_t k) { is >> layer.w[k]; });
     for (double& v : layer.b) {
       is >> v;
     }
@@ -570,7 +525,6 @@ Mlp Mlp::load(std::istream& is) {
   if (!is) {
     throw std::runtime_error("Mlp::load: truncated parameter data");
   }
-  out.rebuild_transposes();
   return out;
 }
 

@@ -33,12 +33,13 @@ class WorkerPool;
 ///
 /// The batched dense kernel is explicitly vectorized (AVX2 on x86-64,
 /// NEON on aarch64, portable scalar fallback; selected once at runtime,
-/// overridable with QRC_SIMD=portable|avx2|neon). Vector lanes run across
-/// *output neurons* over a transposed [in x out] weight cache while each
-/// neuron's k-accumulation stays sequential (mul then add per step, no
-/// FMA), so SIMD results are bitwise-identical to the scalar path.
-/// Activations live in flat per-call arenas reused across calls instead
-/// of per-call vector-of-vectors.
+/// overridable with QRC_SIMD=portable|avx2|neon). Each layer keeps one
+/// input-major weight array, which the optimizer updates in place and
+/// every kernel reads: vector lanes run across adjacent *output neurons*
+/// while each neuron's i-accumulation stays sequential (mul then add per
+/// step, no FMA), so SIMD results are bitwise-identical to the scalar
+/// path. Activations live in flat per-call arenas reused across calls
+/// instead of per-call vector-of-vectors.
 class Mlp {
  public:
   /// \param sizes layer widths, e.g. {7, 64, 64, 30}.
@@ -84,17 +85,15 @@ class Mlp {
   void zero_grad();
 
   /// Parameter and gradient access for the optimizer (flat order:
-  /// layer 0 weights, layer 0 biases, layer 1 weights, ...).
+  /// layer 0 weights, layer 0 biases, layer 1 weights, ...; each layer's
+  /// weights neuron by neuron, as in the model file). The optimizer may
+  /// update the weights through these pointers at any time; every forward
+  /// reads them directly.
   void collect_parameters(std::vector<double*>& params,
                           std::vector<double*>& grads);
 
-  /// A copy that owns its weights: no optimizer holds pointers into it,
-  /// so its transposed weights are built once here and every batched
-  /// forward reuses them. PPO takes one per update for its rollout
-  /// forwards while the live network keeps training.
-  [[nodiscard]] Mlp snapshot() const;
-
-  /// Text (de)serialisation; layout validated on read.
+  /// Text (de)serialisation; layout validated on read, and a network of
+  /// more than 2^22 parameters is rejected before anything is allocated.
   void save(std::ostream& os) const;
   static Mlp load(std::istream& is);
 
@@ -102,41 +101,30 @@ class Mlp {
   struct Layer {
     int in = 0;
     int out = 0;
-    std::vector<double> w;   // out x in, row major
+    /// in x out, input major: w[i * out + o] weighs input i in neuron o,
+    /// so the weights of adjacent neurons for one input are adjacent.
+    std::vector<double> w;
     std::vector<double> b;   // out
-    std::vector<double> gw;  // gradient accumulators
+    std::vector<double> gw;  // gradient accumulators, laid out like w
     std::vector<double> gb;
   };
 
   /// Runs rows [row_begin, row_end) through every layer. `levels[k]` is
   /// the base of the row-major [batch x sizes_[k]] buffer of level k
-  /// (level 0 = input, never written). `wt` is the per-layer transposed
-  /// [in x out] weight array for the vectorized kernel, or nullptr to
-  /// force the portable row-major path.
-  void forward_rows(double* const* levels, const double* const* wt,
-                    int row_begin, int row_end) const;
-  void run_batch(double* const* levels, const double* const* wt, int batch,
-                 WorkerPool* pool) const;
+  /// (level 0 = input, never written).
+  void forward_rows(double* const* levels, int row_begin, int row_end) const;
+  void run_batch(double* const* levels, int batch, WorkerPool* pool) const;
 
-  /// Fills `ptrs` with the per-layer transposed weights the vector kernel
-  /// should use and returns ptrs.data(), or nullptr when the portable
-  /// kernel is active. While the optimizer may be mutating weights
-  /// in place (weights_shared_), the transpose is rebuilt into
-  /// thread-local scratch on every call instead of trusting wt_.
-  const double* const* vector_weights(std::vector<const double*>& ptrs) const;
-  void rebuild_transposes();
+  /// Backpropagates the row-major dL/d(output) `grad_out` of `rows`
+  /// cached rows (levels as in forward_rows), adding the parameter
+  /// gradients row by row in ascending order.
+  void backward_rows(const double* const* levels, int rows,
+                     const double* grad_out);
 
   std::vector<int> sizes_;
   std::vector<Layer> layers_;
-  /// Transposed weights, wt_[li][i * out + o] = w[o * in + i]: lets the
-  /// vector kernel load consecutive output-neuron weights per input step.
-  /// Valid while the optimizer holds no pointers (see weights_shared_).
-  std::vector<std::vector<double>> wt_;
-  /// Set once collect_parameters() hands out raw pointers: weights may
-  /// change at any time afterwards, so wt_ can no longer be trusted.
-  bool weights_shared_ = false;
   // Cached activations: acts_[0] = input, acts_[k] = post-activation of
-  // layer k-1; preacts_[k] = pre-activation of layer k.
+  // layer k-1.
   std::vector<std::vector<double>> acts_;
   // Batched activation cache of forward_batch_cached, reused across
   // calls: one flat arena holding levels 0..L-1 (input + hidden

@@ -346,11 +346,6 @@ PpoAgent train_ppo_vec(
   int update_index = 0;
   while (timesteps_done < config.total_timesteps) {
     const auto update_start = std::chrono::steady_clock::now();
-    // Rollout forwards run on snapshots taken once per update: the live
-    // networks share their weights with the optimizer, so each of their
-    // batched forwards would re-transpose them. Both agree until the epochs.
-    const Mlp rollout_policy = policy.snapshot();
-    const Mlp rollout_value = value_net.snapshot();
     // ---- Rollout collection: all envs advance in lockstep rounds ----
     for (auto& buf : env_buf) {
       buf.clear();
@@ -365,8 +360,8 @@ PpoAgent train_ppo_vec(
       // row-parallel [N x obs] pass instead of N scalar calls.
       envs.gather_observations(obs_batch);
       const auto& masks = envs.action_masks();
-      rollout_policy.forward_batch(obs_batch, num_envs, logits_batch, &pool);
-      rollout_value.forward_batch(obs_batch, num_envs, values_batch, &pool);
+      policy.forward_batch(obs_batch, num_envs, logits_batch, &pool);
+      value_net.forward_batch(obs_batch, num_envs, values_batch, &pool);
       const BatchedMaskedCategorical dist(logits_batch, masks);
       // Sampling consumes each env's own RNG stream in fixed env order, so
       // the collected experience is identical to per-env scalar inference.
@@ -402,7 +397,7 @@ PpoAgent train_ppo_vec(
           std::copy(term_obs.begin(), term_obs.end(),
                     boot_obs.begin() + i * obs_size);
         }
-        rollout_value.forward_batch(
+        value_net.forward_batch(
             boot_obs, static_cast<int>(boot_envs.size()), boot_values, &pool);
         for (std::size_t i = 0; i < boot_envs.size(); ++i) {
           env_buf[static_cast<std::size_t>(boot_envs[i])].back().bootstrap =
@@ -443,7 +438,7 @@ PpoAgent train_ppo_vec(
         std::copy(live_obs.begin(), live_obs.end(),
                   boot_obs.begin() + i * obs_size);
       }
-      rollout_value.forward_batch(
+      value_net.forward_batch(
           boot_obs, static_cast<int>(boot_envs.size()), boot_values, &pool);
       for (std::size_t i = 0; i < boot_envs.size(); ++i) {
         tail_values[static_cast<std::size_t>(boot_envs[i])] = boot_values[i];
@@ -469,7 +464,7 @@ PpoAgent train_ppo_vec(
     }
     normalize_advantages(advantages);
 
-    // ---- PPO epochs, on the live networks ----
+    // ---- PPO epochs ----
     PpoUpdateStats stats;
     stats.update_index = update_index++;
     stats.timesteps = timesteps_done;

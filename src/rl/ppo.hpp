@@ -98,11 +98,12 @@ class VecEnv;
 /// update fills the `steps_per_update` horizon (rounded down to a multiple
 /// of num_envs, minimum one round per env) in lockstep rounds: ONE batched
 /// policy forward and ONE batched value forward over all N observations,
-/// on a per-update snapshot of the networks, then sampling from per-env
-/// RNG streams and env stepping on the VecEnv's pool. The epochs batch
-/// each minibatch likewise. All batched math is bitwise-identical to the
-/// per-sample path, so the result is bitwise-deterministic for a fixed
-/// (config.seed, envs.num_envs()) pair, independent of the worker count.
+/// on the live networks (the optimizer writes them only in the epochs),
+/// then sampling from per-env RNG streams and env stepping on the
+/// VecEnv's pool. The epochs batch each minibatch likewise. All batched
+/// math is bitwise-identical to the per-sample path, so the result is
+/// bitwise-deterministic for a fixed (config.seed, envs.num_envs()) pair,
+/// independent of the worker count.
 /// `progress` (optional) runs after every update; `metrics` (optional)
 /// receives the qrc_train_* families, observed without changing results.
 PpoAgent train_ppo_vec(

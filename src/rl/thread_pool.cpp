@@ -76,7 +76,8 @@ void WorkerPool::parallel_for(int n, const std::function<void(int)>& fn) {
   // Workers have no ambient trace; the caller's share runs without one
   // too, so which thread ran an index never changes a span tree.
   const obs::CurrentTraceScope untraced(nullptr);
-  if (threads_.empty()) {
+  // A single index gains nothing from waking the workers.
+  if (threads_.empty() || n == 1) {
     for (int i = 0; i < n; ++i) {
       fn(i);
     }

@@ -30,11 +30,11 @@ class WorkerPool {
   [[nodiscard]] int size() const { return num_threads_; }
 
   /// Runs fn(i) for every i in [0, n), distributing indices across the
-  /// pool (the calling thread participates). Blocks until every index is
-  /// done. If any invocation throws, the first exception is rethrown on
-  /// the caller after the job completes. Indices run with no ambient
-  /// trace context (obs::TraceContext::current() is null), on the caller
-  /// too.
+  /// pool (the calling thread participates; a one-index job runs on the
+  /// caller alone). Blocks until every index is done. If any invocation
+  /// throws, the first exception is rethrown on the caller after the job
+  /// completes. Indices run with no ambient trace context
+  /// (obs::TraceContext::current() is null), on the caller too.
   ///
   /// fn must only write to state owned by its index; under that contract
   /// the outcome is deterministic for any pool size.

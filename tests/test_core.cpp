@@ -621,6 +621,38 @@ TEST(PredictorTest, LoadRejectsAStepBudgetOutsideOneToAThousand) {
   }
 }
 
+TEST(PredictorTest, LoadRejectsNetworksThatDoNotFitTheMdp) {
+  // Each compile would throw a size mismatch that a service reports as the
+  // client's fault; the model file is refused at load instead.
+  const int features = qrc::features::kNumFeatures;
+  const int actions = ActionRegistry::instance().size();
+  const auto model = [](int obs, int num_actions) {
+    qrc::rl::PpoConfig ppo;
+    ppo.hidden_sizes = {4};
+    std::stringstream out;
+    out << "qrc_predictor 1 0 40 1\n";
+    qrc::rl::PpoAgent(obs, num_actions, ppo).save(out);
+    return out.str();
+  };
+  EXPECT_EQ(load_error(model(features, 5)),
+            "Predictor::load: policy maps 7 -> 5; the MDP needs 7 -> " +
+                std::to_string(actions));
+  EXPECT_EQ(load_error(model(6, actions)),
+            "Predictor::load: policy maps 6 -> " + std::to_string(actions) +
+                "; the MDP needs 7 -> " + std::to_string(actions));
+  // A value net with two outputs behind a fitting policy: the file ends
+  // with the value net, so five more numbers complete its wider layer.
+  std::string two_values = model(features, actions);
+  const std::string value_sizes = "mlp 3\n7 4 1 \n";
+  const std::size_t at = two_values.rfind(value_sizes);
+  ASSERT_NE(at, std::string::npos);
+  two_values.replace(at, value_sizes.size(), "mlp 3\n7 4 2 \n");
+  two_values += "0 0 0 0 0\n";
+  EXPECT_EQ(load_error(two_values),
+            "Predictor::load: value net maps 7 -> 2; the MDP needs 7 -> 1");
+  EXPECT_EQ(load_error(model(features, actions)), "");
+}
+
 TEST(PredictorTest, DeadEndPlatformPickGoesStraightToTheFallback) {
   // IonQ's device has 11 qubits and OQC's 8: a wider circuit can take no
   // device after that pick, so the greedy part ends there and the

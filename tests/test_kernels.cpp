@@ -131,42 +131,6 @@ TEST(KernelMlpTest, StaysBitwiseAfterOptimizerMutatesWeightsInPlace) {
   }
 }
 
-TEST(KernelMlpTest, SnapshotOwnsItsWeights) {
-  // A snapshot of a network whose weights the optimizer holds computes the
-  // live weights bitwise through its own transposes, and keeps them when
-  // the live network's weights change afterwards.
-  Mlp net({5, 16, 8}, 3);
-  std::vector<double*> params;
-  std::vector<double*> grads;
-  net.collect_parameters(params, grads);
-  std::mt19937_64 rng(19);
-  std::normal_distribution<double> gauss(0.0, 0.1);
-  for (double* p : params) {
-    *p += gauss(rng);
-  }
-  const Mlp snapshot = net.snapshot();
-  const int batch = 13;
-  const auto inputs = ragged_inputs(batch, 5);
-  std::vector<double> taken;
-  snapshot.forward_batch(inputs, batch, taken);
-  for (int r = 0; r < batch; ++r) {
-    const auto row = net.forward(std::span<const double>(
-        inputs.data() + static_cast<std::size_t>(r) * 5, 5));
-    ASSERT_TRUE(bitwise_equal(
-        row.data(), taken.data() + static_cast<std::size_t>(r) * 8, 8))
-        << "row=" << r;
-  }
-  for (double* p : params) {
-    *p += gauss(rng);
-  }
-  std::vector<double> later;
-  snapshot.forward_batch(inputs, batch, later);
-  EXPECT_TRUE(bitwise_equal(taken.data(), later.data(), taken.size()));
-  std::vector<double> live;
-  net.forward_batch(inputs, batch, live);
-  EXPECT_FALSE(bitwise_equal(taken.data(), live.data(), taken.size()));
-}
-
 // ------------------------------------------- tableau bitplane vs reference --
 
 /// The pre-bitplane tableau: one bool per cell, the Aaronson-Gottesman

@@ -9,6 +9,7 @@
 #include <random>
 #include <span>
 #include <sstream>
+#include <string>
 
 #include "rl/adam.hpp"
 #include "rl/categorical.hpp"
@@ -212,6 +213,29 @@ TEST(MlpTest, SaveLoadRoundTrip) {
 TEST(MlpTest, LoadRejectsGarbage) {
   std::stringstream ss("not a network");
   EXPECT_THROW((void)Mlp::load(ss), std::runtime_error);
+}
+
+TEST(MlpTest, LoadRejectsOversizedNetworks) {
+  // 65536 x 65536 overflows an int to 0; 65536 x 30000 asks for 15.7 GB.
+  // Both are refused before anything is allocated.
+  const auto load_error = [](const std::string& text) -> std::string {
+    std::stringstream ss(text);
+    try {
+      (void)Mlp::load(ss);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(load_error("mlp 2\n65536 65536\n"),
+            "Mlp::load: 4295032832 parameters; at most 4194304");
+  EXPECT_EQ(load_error("mlp 2\n65536 30000\n"),
+            "Mlp::load: 1966110000 parameters; at most 4194304");
+  // Exactly 2^22 parameters pass the check and fail on the missing data.
+  EXPECT_EQ(load_error("mlp 2\n1023 4096\n"),
+            "Mlp::load: truncated parameter data");
+  EXPECT_EQ(load_error("mlp 2\n1024 4096\n"),
+            "Mlp::load: 4198400 parameters; at most 4194304");
 }
 
 // ----------------------------------------------------------------- Adam ---

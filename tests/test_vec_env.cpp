@@ -12,11 +12,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
 #include "core/compilation_env.hpp"
 #include "core/predictor.hpp"
+#include "obs/trace.hpp"
 #include "rl/categorical.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
@@ -60,6 +62,23 @@ TEST(WorkerPoolTest, PropagatesExceptions) {
   std::atomic<int> count{0};
   pool.parallel_for(8, [&](int) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
+}
+
+TEST(WorkerPoolTest, OneIndexJobRunsOnTheCallingThread) {
+  WorkerPool pool(4);
+  qrc::obs::TraceContext trace("caller");
+  const qrc::obs::CurrentTraceScope scope(&trace);
+  for (int round = 0; round < 100; ++round) {
+    std::thread::id ran_on;
+    const qrc::obs::TraceContext* ambient = &trace;
+    pool.parallel_for(1, [&](int) {
+      ran_on = std::this_thread::get_id();
+      ambient = qrc::obs::TraceContext::current();
+    });
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << "round " << round;
+    EXPECT_EQ(ambient, nullptr) << "round " << round;
+  }
+  EXPECT_EQ(qrc::obs::TraceContext::current(), &trace);
 }
 
 // ------------------------------------------------------------- toy envs ---
